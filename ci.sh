@@ -18,6 +18,13 @@ cargo build --release --workspace
 echo "== cargo test =="
 cargo test -q --workspace
 
+echo "== perfbench build + tests =="
+# The repository benchmark is a package of its own (perfbench/Cargo.toml,
+# outside the workspace), so the stages above never compile it. Build it
+# and run its smoke-scale tests against the current crates, so an API
+# change in the workspace cannot silently break the benchmark.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== metricsdiff against committed baselines =="
 # Perf-regression gate: regenerate the three baseline experiments with
 # hardware counters on and compare metric-for-metric against baselines/.

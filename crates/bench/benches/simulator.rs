@@ -2,7 +2,7 @@
 //! and the cycle-level timing model.
 
 use bench::harness::Harness;
-use gpusim::{DeviceSpec, Gpu, LaunchDims, ParamBuilder, TimingOptions};
+use gpusim::{DeviceSpec, Gpu, LaunchDims, ParamBuilder};
 use kernels::{FusedConfig, FusedKernel};
 
 fn functional_block_throughput(h: &Harness) {
@@ -30,23 +30,9 @@ fn timing_model_wave(h: &Harness) {
     let mut cfg = FusedConfig::ours(64, 28, 28, 32, 64);
     cfg.main_loop_only = true;
     let kern = FusedKernel::emit(cfg);
+    let rig = kern.rig(&DeviceSpec::rtx2070());
     h.bench("timing_model_one_wave_c64", None, || {
-        let mut gpu = Gpu::new(DeviceSpec::rtx2070(), 1 << 26);
-        let d_in = gpu.alloc((64 * 28 * 28 * 32) as u64 * 4);
-        let d_tf = gpu.alloc((64 * 16 * 64) as u64 * 4);
-        let d_out = gpu.alloc((64 * 28 * 28 * 32) as u64 * 4);
-        let params = kern.params(d_in, d_tf, d_out);
-        gpusim::timing::time_kernel(
-            &mut gpu,
-            &kern.module,
-            kern.launch_dims(),
-            &params,
-            TimingOptions {
-                region: Some(kern.region),
-                ..Default::default()
-            },
-        )
-        .unwrap()
+        rig.time_wave(rig.module(), rig.opts).unwrap()
     });
 }
 

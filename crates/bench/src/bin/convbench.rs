@@ -23,7 +23,7 @@
 //! JSON records.
 
 use bench::report::Report;
-use gpusim::{DeviceSpec, KernelProfile, StallCause};
+use gpusim::{DeviceSpec, KernelProfile, StallCause, TimingOptions};
 use tensor::{allclose, LayoutKind, Tensor4};
 use wino_core::resnet::layer_by_name;
 use wino_core::{conv2d_direct, Algo, Conv, ConvProblem};
@@ -313,7 +313,11 @@ fn main() {
             .find(|a| matches!(a, Algo::OursFused | Algo::CudnnWinograd))
             .unwrap();
         if profile {
-            let t = conv.time_fused_profiled(algo);
+            let opts = TimingOptions {
+                profile: true,
+                ..Default::default()
+            };
+            let t = conv.time_kernel(algo, opts).expect("fused kernel");
             let p = t.profile.as_ref().expect("profiled run carries a profile");
             print_profile(algo, p, &mut report, dev_name, &problem);
         }

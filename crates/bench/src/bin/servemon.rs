@@ -33,6 +33,7 @@
 use bench::json::{parse, Json};
 use bench::report::flag_value;
 use bench::Table;
+use serve::engine::percentile;
 use std::collections::{HashMap, HashSet};
 
 struct Args {
@@ -81,15 +82,6 @@ fn nat(v: &Json, key: &str) -> u64 {
 
 fn text<'j>(v: &'j Json, key: &str) -> &'j str {
     v.get(key).and_then(Json::as_str).unwrap_or("?")
-}
-
-/// Nearest-rank percentile over an ascending slice.
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0 * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 fn ms(ns: u64) -> f64 {
@@ -270,9 +262,9 @@ fn summarize(g: &Group, args: &Args) {
             0.0
         },
         batches,
-        us(percentile(&latencies, 50.0)),
-        us(percentile(&latencies, 99.0)),
-        us(percentile(&latencies, 99.9)),
+        us(percentile(&latencies, 50.0).unwrap_or(0)),
+        us(percentile(&latencies, 99.0).unwrap_or(0)),
+        us(percentile(&latencies, 99.9).unwrap_or(0)),
     );
 
     // Burn-rate table over fixed windows of completion time.
@@ -333,7 +325,7 @@ fn summarize(g: &Group, args: &Args) {
         .map(|(i, name)| {
             let mut waits = class_waits[name].clone();
             waits.sort_unstable();
-            let p99 = percentile(&waits, 99.0);
+            let p99 = percentile(&waits, 99.0).unwrap_or(0);
             let max = waits.last().copied().unwrap_or(0);
             (name, p99, max, i)
         })

@@ -31,7 +31,7 @@ use std::time::Instant;
 use bench::json::parse;
 use bench::report::{flag_value, Report};
 use bench::Table;
-use gpusim::DeviceSpec;
+use gpusim::{DeviceSpec, TimingOptions};
 use wino_core::{Algo, Conv, ConvProblem};
 
 /// The fixed matrix: one mid-size ResNet-like layer, three algorithm
@@ -60,6 +60,10 @@ struct Point {
 
 fn measure(iters: u32) -> Vec<Point> {
     let prob = problem();
+    let counted_opts = TimingOptions {
+        counters: true,
+        ..Default::default()
+    };
     let mut points = Vec::new();
     for dev in [DeviceSpec::v100(), DeviceSpec::rtx2070()] {
         for algo in ALGOS {
@@ -69,7 +73,7 @@ fn measure(iters: u32) -> Vec<Point> {
             // full-device multi-wave model: `wave_cycles` is the device
             // makespan and `issued` the device-total issue count.
             let counted = conv
-                .time_counted(algo)
+                .time_kernel(algo, counted_opts)
                 .expect("matrix algorithm has no cycle-level kernel");
             let ctr = counted.counters.as_ref().expect("counters requested");
             // Best-of-N plain runs for the wall-clock (simulation is
@@ -95,12 +99,13 @@ fn measure(iters: u32) -> Vec<Point> {
         // Figures 7–9 stays on that path): tracks the single-SM wave loop's
         // throughput separately from the device model.
         let conv = Conv::new(prob, dev.clone());
-        let (counted, _) = conv.time_fused_mainloop_counted(conv.ours_config());
+        let (counted, _) = conv.time_fused_mainloop(conv.ours_config(), counted_opts);
         let ctr = counted.counters.as_ref().expect("counters requested");
         let mut best = f64::INFINITY;
         for _ in 0..iters.max(1) {
             let t0 = Instant::now();
-            let (timing, _) = conv.time_fused_mainloop(conv.ours_config());
+            let (timing, _) =
+                conv.time_fused_mainloop(conv.ours_config(), TimingOptions::default());
             best = best.min(t0.elapsed().as_secs_f64());
             assert!(timing.wave_cycles > 0);
         }

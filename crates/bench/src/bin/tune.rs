@@ -51,17 +51,14 @@ use bench::json::{obj, Json};
 use bench::report::{flag_value, Report};
 use bench::simcache::{timing_from_json, timing_to_json, CacheKey, SimStore, Store};
 use bench::Table;
-use gpusim::digest::module_digest;
-use gpusim::{
-    time_kernel_device, timing, BatchTimer, DeviceOptions, DeviceSpec, Digest, Gpu, KernelTiming,
-    LaunchDims, ParamBuilder, TimingOptions,
-};
+use gpusim::digest::{module_digest, module_hex};
+use gpusim::{BatchTimer, DeviceSpec, Digest, Gpu, LaunchDims, ParamBuilder};
 use kernels::filter_transform::emit_filter_transform;
-use kernels::{EmitterParams, FusedConfig, FusedKernel};
+use kernels::{EmitterParams, FusedConfig, FusedKernel, FusedRig};
 use perfmodel::{move_weights, region_move_weights, BottleneckReport};
 use sass::island::{run_islands, IslandConfig, IslandOutcome, Priors, SeedKind};
 use sass::lint::lint;
-use sass::tune::{MoveFamily, TrajectoryMode, TuneRegion};
+use sass::tune::{MoveFamily, TrajectoryMode};
 use sass::{Instruction, Module};
 use serve::schedstore::{ScheduleStore, StoredSchedule};
 use tensor::XorShiftRng;
@@ -93,56 +90,17 @@ struct Flags {
 
 // ---- shared evaluation plumbing ---------------------------------------------
 
-/// Everything one shape's objective needs. The decoded [`BatchTimer`] is
-/// cloned per island, so operand analysis happens once per module.
+/// One shape's objective: the kernel's timing rig plus the simcache memo
+/// its evaluations go through.
 struct EvalCtx<'a> {
-    dev: &'a DeviceSpec,
-    base: Module,
-    timer: BatchTimer,
-    dims: LaunchDims,
-    params: Vec<u8>,
-    opts: TimingOptions,
-    alloc_bytes: [u64; 3],
-    capacity: usize,
+    rig: FusedRig,
     store: Option<&'a Store>,
 }
 
 impl<'a> EvalCtx<'a> {
-    fn new(dev: &'a DeviceSpec, kern: &FusedKernel, store: Option<&'a Store>) -> EvalCtx<'a> {
-        let cfg = kern.config;
-        let (c, h, w, n, k) = (
-            cfg.c as u64,
-            cfg.h as u64,
-            cfg.w as u64,
-            cfg.n as u64,
-            cfg.k as u64,
-        );
-        let alloc_bytes = [c * h * w * n * 4, c * 16 * k * 4, k * h * w * n * 4];
-        // Capacity only bounds allocation; it is not part of any digest.
-        let capacity = (alloc_bytes.iter().sum::<u64>() + (1 << 20)).next_power_of_two() as usize;
-        let dims = kern.launch_dims();
-        let params = {
-            // Fixed addresses: allocation order is deterministic, so build
-            // the parameter block once against a scratch GPU.
-            let mut gpu = Gpu::new(dev.clone(), capacity);
-            let a = gpu.alloc(alloc_bytes[0]);
-            let b = gpu.alloc(alloc_bytes[1]);
-            let o = gpu.alloc(alloc_bytes[2]);
-            kern.params(a, b, o)
-        };
-        let opts = TimingOptions {
-            region: Some(kern.region),
-            ..Default::default()
-        };
+    fn new(dev: &DeviceSpec, kern: &FusedKernel, store: Option<&'a Store>) -> EvalCtx<'a> {
         EvalCtx {
-            dev,
-            base: kern.module.clone(),
-            timer: BatchTimer::new(&kern.module),
-            dims,
-            params,
-            opts,
-            alloc_bytes,
-            capacity,
+            rig: kern.rig(dev),
             store,
         }
     }
@@ -157,19 +115,15 @@ fn evaluate(
     ctx: &EvalCtx,
 ) -> Option<u64> {
     assert!(lint(insts).is_empty(), "illegal candidate reached evaluate");
-    let cand = Module::new(
-        &ctx.base.info.name,
-        ctx.base.info.smem_bytes,
-        ctx.base.info.param_bytes,
-        insts.to_vec(),
-    );
+    let rig = &ctx.rig;
+    let cand = rig.with_insts(insts.to_vec());
     let key = {
         let mut d = Digest::new();
-        ctx.dev.digest_into(&mut d);
+        rig.device.digest_into(&mut d);
         module_digest(&cand, &mut d);
-        ctx.dims.digest_into(&mut d);
-        d.u64(ctx.params.len() as u64).bytes(&ctx.params);
-        ctx.opts.digest_into(&mut d);
+        rig.dims().digest_into(&mut d);
+        d.u64(rig.params().len() as u64).bytes(rig.params());
+        rig.opts.digest_into(&mut d);
         d.str("tune/v2");
         CacheKey::from_digest(&d)
     };
@@ -178,12 +132,8 @@ fn evaluate(
             return Some(t.wave_cycles);
         }
     }
-    let mut gpu = Gpu::new(ctx.dev.clone(), ctx.capacity);
-    for &b in &ctx.alloc_bytes {
-        gpu.alloc(b);
-    }
-    let t = timer
-        .time(&mut gpu, &cand, perm, ctx.dims, &ctx.params, ctx.opts)
+    let t = rig
+        .time_candidate(timer, &cand, perm)
         .expect("candidate timing failed");
     if let Some(s) = ctx.store {
         s.store(&key, &timing_to_json(&t));
@@ -191,56 +141,36 @@ fn evaluate(
     Some(t.wave_cycles)
 }
 
-/// Run the island search with per-island clones of the context's timer.
+/// Run the island search with per-island clones of the rig's timer (the
+/// operand analysis happens once per module).
 fn islands_over(
     ctx: &EvalCtx,
     start: &[Instruction],
-    regions: &[TuneRegion],
     priors: &Priors,
     icfg: &IslandConfig,
 ) -> IslandOutcome {
-    run_islands(start, regions, priors, icfg, |_| {
-        let mut timer = ctx.timer.clone();
+    run_islands(start, &ctx.rig.tune_regions, priors, icfg, |_| {
+        let mut timer = ctx.rig.timer();
         move |insts: &[Instruction], perm: &[u32]| evaluate(insts, perm, &mut timer, ctx)
     })
-}
-
-fn regions_of(kern: &FusedKernel) -> Vec<TuneRegion> {
-    kern.regions
-        .iter()
-        .map(|r| TuneRegion {
-            name: r.name.clone(),
-            start: r.start,
-            end: r.end,
-        })
-        .collect()
 }
 
 /// Profile `kern` once (cold, uncached — profiling options change the
 /// digest anyway) and aim the search: per-region proposal odds from the
 /// stall/issue cycle split, family weights from the classified bottleneck,
 /// per-region family priors from the profiled stall shares.
-fn profile_priors(
-    ctx: &EvalCtx,
-    kern: &FusedKernel,
-    regions: &[TuneRegion],
-) -> (&'static str, Priors) {
-    let mut gpu = Gpu::new(ctx.dev.clone(), ctx.capacity);
-    for &b in &ctx.alloc_bytes {
-        gpu.alloc(b);
-    }
-    let popts = TimingOptions {
+fn profile_priors(ctx: &EvalCtx, kern: &FusedKernel) -> (&'static str, Priors) {
+    let rig = &ctx.rig;
+    let popts = gpusim::TimingOptions {
         profile: true,
         counters: true,
-        ..ctx.opts
+        ..rig.opts
     };
-    let mut t = timing::time_kernel(&mut gpu, &kern.module, ctx.dims, &ctx.params, popts)
+    let t = rig
+        .time_wave(&kern.module, popts)
         .expect("profile run failed");
-    let names: Vec<String> = regions.iter().map(|r| r.name.clone()).collect();
-    let totals = t.profile.as_mut().map(|prof| {
-        prof.regions = kern.regions.clone();
-        prof.region_totals()
-    });
+    let names: Vec<String> = rig.tune_regions.iter().map(|r| r.name.clone()).collect();
+    let totals = t.profile.as_ref().map(|prof| prof.region_totals());
     let report = BottleneckReport::classify(&t);
     let mut priors = Priors {
         weights: move_weights(&report),
@@ -262,21 +192,6 @@ fn profile_priors(
         priors.region_priors = Some(region_move_weights(&report, &totals, &names));
     }
     (report.bound.name(), priors)
-}
-
-fn digest_of(m: &Module) -> String {
-    let mut d = Digest::new();
-    module_digest(m, &mut d);
-    d.hex()
-}
-
-fn module_with(base: &Module, insts: Vec<Instruction>) -> Module {
-    Module::new(
-        &base.info.name,
-        base.info.smem_bytes,
-        base.info.param_bytes,
-        insts,
-    )
 }
 
 // ---- functional differential check ------------------------------------------
@@ -422,12 +337,11 @@ fn tier2_search(dev: &DeviceSpec, store: Option<&Store>, f: &Flags) -> (Vec<Tier
             let p = points[idx];
             let kern = FusedKernel::emit(p.apply(proxy_config()));
             let ctx = EvalCtx::new(dev, &kern, store);
-            let regions = regions_of(&kern);
-            let (_, priors) = profile_priors(&ctx, &kern, &regions);
+            let (_, priors) = profile_priors(&ctx, &kern);
             let mut icfg = IslandConfig::new(2, 2, (rung_budget / 2).max(1), f.seed);
             icfg.seeds = vec![SeedKind::Hand, SeedKind::HandGreedy];
             icfg.jobs = f.jobs;
-            let outcome = islands_over(&ctx, &kern.module.insts, &regions, &priors, &icfg);
+            let outcome = islands_over(&ctx, &kern.module.insts, &priors, &icfg);
             rows[idx].hand_cycles = outcome.per_island[0].start_cost;
             rows[idx].best_cycles = outcome.best_cost;
             rows[idx].evals += outcome.stats.evals;
@@ -469,27 +383,31 @@ fn recovery_run(dev: &DeviceSpec, store: Option<&Store>, f: &Flags) -> RecoveryR
     let hand = FusedKernel::emit(proxy_config());
     let naive = FusedKernel::emit_detuned(proxy_config());
     let ctx = EvalCtx::new(dev, &hand, store);
-    let regions = regions_of(&hand);
-    let region_names: Vec<String> = regions.iter().map(|r| r.name.clone()).collect();
+    let region_names: Vec<String> = ctx
+        .rig
+        .tune_regions
+        .iter()
+        .map(|r| r.name.clone())
+        .collect();
     // Aim the search by profiling the *detuned* baseline — where the naive
     // schedule burns cycles is where the recovery search must move.
-    let (bound, priors) = profile_priors(&ctx, &naive, &regions);
+    let (bound, priors) = profile_priors(&ctx, &naive);
 
     let ident: Vec<u32> = (0..hand.module.insts.len() as u32).collect();
-    let mut timer = ctx.timer.clone();
+    let mut timer = ctx.rig.timer();
     let hand_cycles = evaluate(&hand.module.insts, &ident, &mut timer, &ctx).unwrap();
 
     let mut icfg = IslandConfig::new(f.islands, f.epochs, (f.budget / f.epochs).max(1), f.seed);
     icfg.jobs = f.jobs;
     icfg.traj_mode = f.traj;
-    let outcome = islands_over(&ctx, &hand.module.insts, &regions, &priors, &icfg);
+    let outcome = islands_over(&ctx, &hand.module.insts, &priors, &icfg);
     let naive_cycles = outcome
         .per_island
         .iter()
         .find(|s| s.seed_kind == SeedKind::Detuned)
         .map(|s| s.start_cost)
         .expect("lineup has a detuned island");
-    let schedule_digest = digest_of(&module_with(&ctx.base, outcome.best_insts.clone()));
+    let schedule_digest = module_hex(&ctx.rig.with_insts(outcome.best_insts.clone()));
     RecoveryRun {
         bound,
         naive_cycles,
@@ -524,38 +442,30 @@ fn conv2_run(
     let cfg = conv2_config();
     let hand = FusedKernel::emit(cfg);
     let ctx = EvalCtx::new(dev, &hand, store);
-    let regions = regions_of(&hand);
     // Profile the *hand* schedule: the search starts there, so the priors
     // should point at whatever stalls the authors left on the table.
-    let (_, priors) = profile_priors(&ctx, &hand, &regions);
+    let (_, priors) = profile_priors(&ctx, &hand);
 
     let mut icfg = IslandConfig::new(2, 2, (f.budget / 2).max(1), f.seed);
     icfg.seeds = vec![SeedKind::Hand, SeedKind::HandGreedy];
     icfg.jobs = f.jobs;
     icfg.traj_mode = f.traj;
-    let outcome = islands_over(&ctx, &hand.module.insts, &regions, &priors, &icfg);
+    let outcome = islands_over(&ctx, &hand.module.insts, &priors, &icfg);
     let hand_wave_cycles = outcome.per_island[0].start_cost;
-    let best = module_with(&ctx.base, outcome.best_insts.clone());
-    let schedule_digest = digest_of(&best);
+    let best = ctx.rig.with_insts(outcome.best_insts.clone());
+    let schedule_digest = module_hex(&best);
 
     // The claim that matters is multi-wave: time both schedules through the
     // full device model and compare whole-kernel cycles.
-    let dopts = DeviceOptions {
-        base: ctx.opts,
-        ..Default::default()
+    let device_cycles = |m: &Module| {
+        let t = ctx
+            .rig
+            .time_device(m, ctx.rig.opts)
+            .expect("device sim failed");
+        (t.time_s * dev.clock_hz).round() as u64
     };
-    let time_device = |m: &Module| -> KernelTiming {
-        let mut gpu = Gpu::new(dev.clone(), ctx.capacity);
-        for &b in &ctx.alloc_bytes {
-            gpu.alloc(b);
-        }
-        time_kernel_device(&mut gpu, m, ctx.dims, &ctx.params, dopts).expect("device sim failed")
-    };
-    let hand_t = time_device(&hand.module);
-    let tuned_t = time_device(&best);
-    let device_cycles = |t: &KernelTiming| (t.time_s * dev.clock_hz).round() as u64;
     let (hand_device_cycles, tuned_device_cycles) =
-        (device_cycles(&hand_t), device_cycles(&tuned_t));
+        (device_cycles(&hand.module), device_cycles(&best));
     let beats_hand =
         outcome.best_cost < hand_wave_cycles && tuned_device_cycles < hand_device_cycles;
 
@@ -600,13 +510,12 @@ fn smoke(seed: u64, report: &mut Report) {
     let dev = DeviceSpec::v100();
     let hand = FusedKernel::emit(proxy_config());
     let ctx = EvalCtx::new(&dev, &hand, None);
-    let regions = regions_of(&hand);
     let priors = Priors::default();
     let run = |jobs: usize| {
         let mut icfg = IslandConfig::new(2, 2, 15, seed);
         icfg.seeds = vec![SeedKind::Detuned, SeedKind::Hand];
         icfg.jobs = jobs;
-        islands_over(&ctx, &hand.module.insts, &regions, &priors, &icfg)
+        islands_over(&ctx, &hand.module.insts, &priors, &icfg)
     };
     let a = run(1);
     let b = run(2);

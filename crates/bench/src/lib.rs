@@ -17,7 +17,7 @@ pub mod simcache;
 pub mod sweep;
 pub mod trace;
 
-use gpusim::DeviceSpec;
+use gpusim::{DeviceSpec, TimingOptions};
 use kernels::FusedConfig;
 use wino_core::resnet::{eval_grid, ResnetLayer};
 use wino_core::{AlgoTiming, Conv, ConvProblem};
@@ -73,7 +73,7 @@ pub fn mainloop_sweep(name: &str, points: Vec<(Conv, FusedConfig)>) -> Vec<f64> 
     for (conv, cfg) in points {
         let key = CacheKey::from_digest(&conv.mainloop_digest(cfg));
         sw.point(key, move || {
-            let (_, tflops) = conv.time_fused_mainloop(cfg);
+            let (_, tflops) = conv.time_fused_mainloop(cfg, TimingOptions::default());
             json::obj(&[("mainloop_tflops", tflops.into())])
         });
     }

@@ -18,7 +18,7 @@
 //! gated by the `metricsdiff` binary in CI; metric names and the
 //! [`perfmodel::Bound::name`] strings are therefore schema surface.
 
-use gpusim::{DeviceSpec, KernelTiming};
+use gpusim::{DeviceSpec, KernelTiming, TimingOptions};
 use kernels::FusedConfig;
 use perfmodel::BottleneckReport;
 use wino_core::{Algo, Conv};
@@ -90,6 +90,14 @@ pub fn metrics_config<'a>(base: &[(&'a str, Json)]) -> Vec<(&'a str, Json)> {
     c
 }
 
+/// Timing options of every counted run: hardware counters on.
+fn counted() -> TimingOptions {
+    TimingOptions {
+        counters: true,
+        ..Default::default()
+    }
+}
+
 fn tagged_key(mut d: gpusim::Digest) -> CacheKey {
     d.str("metrics/v1");
     CacheKey::from_digest(&d)
@@ -110,7 +118,7 @@ pub fn conv_metrics_sweep(name: &str, points: Vec<(Conv, Algo)>) -> Vec<Option<J
             continue;
         }
         sw.point(tagged_key(conv.time_digest(algo)), move || {
-            let t = conv.time_counted(algo).expect("simulated algo");
+            let t = conv.time_kernel(algo, counted()).expect("simulated algo");
             obj(&kernel_metrics(&t))
         });
     }
@@ -127,7 +135,7 @@ pub fn mainloop_metrics_sweep(name: &str, points: Vec<(Conv, FusedConfig)>) -> V
     let mut sw = Sweep::from_args(name);
     for (conv, cfg) in points {
         sw.point(tagged_key(conv.mainloop_digest(cfg)), move || {
-            let (t, tflops) = conv.time_fused_mainloop_counted(cfg);
+            let (t, tflops) = conv.time_fused_mainloop(cfg, counted());
             let mut m = kernel_metrics(&t);
             m.push(("mainloop_tflops", tflops.into()));
             obj(&m)
@@ -243,7 +251,7 @@ mod tests {
     fn kernel_metrics_names_are_stable() {
         // Metric names are baselines/metricsdiff schema surface.
         let t = small_conv()
-            .time_counted(Algo::OursFused)
+            .time_kernel(Algo::OursFused, counted())
             .expect("simulated");
         let m = kernel_metrics(&t);
         let names: Vec<&str> = m.iter().map(|(k, _)| *k).collect();

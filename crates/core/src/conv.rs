@@ -172,13 +172,13 @@ impl Conv {
         let mut kernel: Option<KernelTiming> = None;
         match algo {
             Algo::OursFused | Algo::CudnnWinograd => {
-                let (fxt, ft) = self.time_fused(algo);
+                let (fxt, ft) = self.time_fused(algo, TimingOptions::default());
                 phases.push(("filter_transform".into(), fxt + LAUNCH_OVERHEAD_S));
                 phases.push(("fused_winograd".into(), ft.time_s + LAUNCH_OVERHEAD_S));
                 kernel = Some(ft);
             }
             Algo::ImplicitPrecompGemm | Algo::ImplicitGemm => {
-                let t = self.time_gemm_kernel(algo);
+                let t = self.time_gemm_kernel(algo, TimingOptions::default());
                 phases.push(("implicit_gemm".into(), t.time_s + LAUNCH_OVERHEAD_S));
                 kernel = Some(t);
             }
@@ -190,7 +190,7 @@ impl Conv {
                     "im2col".into(),
                     (in_bytes + col_bytes) / (self.device.dram_bw * MEM_EFF) + LAUNCH_OVERHEAD_S,
                 ));
-                let t = self.time_gemm_kernel(algo);
+                let t = self.time_gemm_kernel(algo, TimingOptions::default());
                 phases.push(("gemm".into(), t.time_s + LAUNCH_OVERHEAD_S));
                 kernel = Some(t);
             }
@@ -207,7 +207,7 @@ impl Conv {
                     ftf_bytes / bw + LAUNCH_OVERHEAD_S,
                 ));
                 // 36-batched GEMM on the simulator.
-                let t = self.time_nonfused_gemm();
+                let t = self.time_nonfused_gemm(TimingOptions::default());
                 phases.push(("batched_gemm".into(), t.time_s + LAUNCH_OVERHEAD_S));
                 kernel = Some(t);
                 // Output transform: read 36·K·tiles, write output.
@@ -331,82 +331,37 @@ impl Conv {
         }
     }
 
-    fn time_fused(&self, algo: Algo) -> (f64, KernelTiming) {
-        self.time_fused_opts(algo, false, false)
+    /// Filter-transform seconds and the fused kernel's device timing under
+    /// `opts`, with the kernel's main loop as the timed region.
+    fn time_fused(&self, algo: Algo, opts: TimingOptions) -> (f64, KernelTiming) {
+        let rig = FusedKernel::emit(self.fused_config(algo)).rig(&self.device);
+        let fxt = rig
+            .time_filter_transform()
+            .expect("filter transform timing");
+        let t = rig
+            .time_device(rig.module(), opts)
+            .expect("fused kernel timing");
+        (fxt.time_s, t)
     }
 
-    /// Fused-kernel timing with the `simprof` per-line stall profile
-    /// attached; the emitter's named regions (setup / prologue / main loop /
-    /// output transform) are copied into the profile so reports can fold
-    /// lines into kernel phases.
-    pub fn time_fused_profiled(&self, algo: Algo) -> KernelTiming {
-        self.time_fused_opts(algo, true, false).1
-    }
-
-    /// Cycle-model timing of the algorithm's dominant kernel with hardware
-    /// counters attached (`t.counters` is `Some`; see `gpusim::counters`).
+    /// Cycle-model timing of the algorithm's dominant kernel under `opts`:
+    /// `counters` attaches hardware counters (see `gpusim::counters`),
+    /// `profile` the `simprof` per-line stall profile (a fused kernel's
+    /// profile carries its named setup / prologue / main loop / output
+    /// transform regions, so reports can fold lines into kernel phases).
     /// `None` for the analytically-modeled FFT algorithms, which run no
-    /// simulated kernel. The timing numbers are bit-identical to the
-    /// uncounted run, so this shares its cache digest with [`Conv::time`]
+    /// simulated kernel. Counters and profiles leave the timing numbers
+    /// bit-identical to [`Conv::time`]'s, so both share its cache digest
     /// (see `gpusim::digest`).
-    pub fn time_counted(&self, algo: Algo) -> Option<KernelTiming> {
+    pub fn time_kernel(&self, algo: Algo, opts: TimingOptions) -> Option<KernelTiming> {
         match algo {
-            Algo::OursFused | Algo::CudnnWinograd => {
-                Some(self.time_fused_opts(algo, false, true).1)
-            }
+            Algo::OursFused | Algo::CudnnWinograd => Some(self.time_fused(algo, opts).1),
             Algo::Gemm | Algo::ImplicitGemm | Algo::ImplicitPrecompGemm => {
-                Some(self.time_gemm_kernel_opts(algo, true))
+                Some(self.time_gemm_kernel(algo, opts))
             }
-            Algo::WinogradNonfused => Some(self.time_nonfused_gemm_opts(true)),
+            Algo::WinogradNonfused => Some(self.time_nonfused_gemm(opts)),
             Algo::Fft | Algo::FftTiling => None,
         }
-    }
-
-    fn time_fused_opts(&self, algo: Algo, profile: bool, counters: bool) -> (f64, KernelTiming) {
-        let p = &self.problem;
-        let cfg = self.fused_config(algo);
-        let kern = FusedKernel::emit(cfg);
-        let mut gpu = self.gpu_for(
-            ((p.c * p.h * p.w * p.n + 16 * p.c * p.k + p.k * p.h * p.w * p.n) * 4) as u64
-                + (1 << 20),
-        );
-        let d_in = gpu.alloc((p.c * p.h * p.w * p.n) as u64 * 4);
-        let d_filt = gpu.alloc((p.c * 9 * p.k) as u64 * 4);
-        let d_tf = gpu.alloc((p.c * 16 * p.k) as u64 * 4);
-        let d_out = gpu.alloc((p.k * p.h * p.w * p.n) as u64 * 4);
-
-        let fx = emit_filter_transform(p.c as u32, p.k as u32);
-        let fx_params = ParamBuilder::new().push_ptr(d_filt).push_ptr(d_tf).build();
-        let fxt = time_kernel_device(
-            &mut gpu,
-            &fx,
-            LaunchDims::linear((p.c * p.k / 256) as u32, 256),
-            &fx_params,
-            DeviceOptions::default(),
-        )
-        .expect("filter transform timing");
-
-        let params = kern.params(d_in, d_tf, d_out);
-        let mut t = time_kernel_device(
-            &mut gpu,
-            &kern.module,
-            kern.launch_dims(),
-            &params,
-            DeviceOptions {
-                base: TimingOptions {
-                    region: Some(kern.region),
-                    profile,
-                    counters,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        )
-        .expect("fused kernel timing");
-        if let Some(prof) = t.profile.as_mut() {
-            prof.regions = kern.regions.clone();
-        }
-        (fxt.time_s, t)
     }
 
     /// Fused-kernel timing with the full-device wave timeline attached:
@@ -416,28 +371,14 @@ impl Conv {
     /// would trace only one representative SM per dispatch class); the
     /// timing therefore matches `exact: true`, not the default fast path.
     pub fn time_fused_traced(&self, algo: Algo) -> (KernelTiming, gpusim::DeviceTrace) {
-        let p = &self.problem;
-        let cfg = self.fused_config(algo);
-        let kern = FusedKernel::emit(cfg);
-        let mut gpu = self.gpu_for(
-            ((p.c * p.h * p.w * p.n + 16 * p.c * p.k + p.k * p.h * p.w * p.n) * 4) as u64
-                + (1 << 20),
-        );
-        let d_in = gpu.alloc((p.c * p.h * p.w * p.n) as u64 * 4);
-        let _d_filt = gpu.alloc((p.c * 9 * p.k) as u64 * 4);
-        let d_tf = gpu.alloc((p.c * 16 * p.k) as u64 * 4);
-        let d_out = gpu.alloc((p.k * p.h * p.w * p.n) as u64 * 4);
-        let params = kern.params(d_in, d_tf, d_out);
+        let rig = FusedKernel::emit(self.fused_config(algo)).rig(&self.device);
         gpusim::time_kernel_device_traced(
-            &mut gpu,
-            &kern.module,
-            kern.launch_dims(),
-            &params,
+            &mut rig.gpu(),
+            rig.module(),
+            rig.dims(),
+            rig.params(),
             DeviceOptions {
-                base: TimingOptions {
-                    region: Some(kern.region),
-                    ..Default::default()
-                },
+                base: rig.opts,
                 exact: true,
                 ..Default::default()
             },
@@ -452,80 +393,27 @@ impl Conv {
     /// one-wave model's overcharge (recorded by the `multiwave` experiment
     /// binary).
     pub fn time_fused_crosscheck(&self, algo: Algo) -> (KernelTiming, KernelTiming) {
-        let p = &self.problem;
-        let cfg = self.fused_config(algo);
-        let kern = FusedKernel::emit(cfg);
-        let base = TimingOptions {
-            region: Some(kern.region),
-            ..Default::default()
-        };
-        let alloc = |gpu: &mut Gpu| {
-            let d_in = gpu.alloc((p.c * p.h * p.w * p.n) as u64 * 4);
-            let d_tf = gpu.alloc((p.c * 16 * p.k) as u64 * 4);
-            let d_out = gpu.alloc((p.k * p.h * p.w * p.n) as u64 * 4);
-            kern.params(d_in, d_tf, d_out)
-        };
-        let cap = ((p.c * p.h * p.w * p.n + 16 * p.c * p.k + p.k * p.h * p.w * p.n) * 4) as u64
-            + (1 << 20);
-        let mut gpu = self.gpu_for(cap);
-        let params = alloc(&mut gpu);
-        let one_wave =
-            gpusim::timing::time_kernel(&mut gpu, &kern.module, kern.launch_dims(), &params, base)
-                .expect("one-wave fused timing");
-        let mut gpu = self.gpu_for(cap);
-        let params = alloc(&mut gpu);
-        let device = time_kernel_device(
-            &mut gpu,
-            &kern.module,
-            kern.launch_dims(),
-            &params,
-            DeviceOptions {
-                base,
-                ..Default::default()
-            },
-        )
-        .expect("device fused timing");
+        let rig = FusedKernel::emit(self.fused_config(algo)).rig(&self.device);
+        let one_wave = rig
+            .time_wave(rig.module(), rig.opts)
+            .expect("one-wave fused timing");
+        let device = rig
+            .time_device(rig.module(), rig.opts)
+            .expect("device fused timing");
         (one_wave, device)
     }
 
-    /// Main-loop-only timing of a fused configuration (Figures 7–9, §7.2).
-    pub fn time_fused_mainloop(&self, cfg: FusedConfig) -> (KernelTiming, f64) {
-        self.time_fused_mainloop_opts(cfg, false)
-    }
-
-    /// [`Conv::time_fused_mainloop`] with hardware counters attached.
-    pub fn time_fused_mainloop_counted(&self, cfg: FusedConfig) -> (KernelTiming, f64) {
-        self.time_fused_mainloop_opts(cfg, true)
-    }
-
-    fn time_fused_mainloop_opts(
+    /// Main-loop-only timing of a fused configuration under `opts`
+    /// (Figures 7–9, §7.2): the one-wave timing and the main-loop region's
+    /// TFLOP/s.
+    pub fn time_fused_mainloop(
         &self,
         mut cfg: FusedConfig,
-        counters: bool,
+        opts: TimingOptions,
     ) -> (KernelTiming, f64) {
-        let p = &self.problem;
         cfg.main_loop_only = true;
-        let kern = FusedKernel::emit(cfg);
-        let mut gpu = self.gpu_for(
-            ((p.c * p.h * p.w * p.n + 16 * p.c * p.k + p.k * p.h * p.w * p.n) * 4) as u64
-                + (1 << 20),
-        );
-        let d_in = gpu.alloc((p.c * p.h * p.w * p.n) as u64 * 4);
-        let d_tf = gpu.alloc((p.c * 16 * p.k) as u64 * 4);
-        let d_out = gpu.alloc((p.k * p.h * p.w * p.n) as u64 * 4);
-        let params = kern.params(d_in, d_tf, d_out);
-        let t = gpusim::timing::time_kernel(
-            &mut gpu,
-            &kern.module,
-            kern.launch_dims(),
-            &params,
-            TimingOptions {
-                region: Some(kern.region),
-                counters,
-                ..Default::default()
-            },
-        )
-        .expect("main loop timing");
+        let rig = FusedKernel::emit(cfg).rig(&self.device);
+        let t = rig.time_wave(rig.module(), opts).expect("main loop timing");
         let tflops = t.region_tflops(&self.device, cfg.mainloop_flops_per_block());
         (t, tflops)
     }
@@ -600,11 +488,7 @@ impl Conv {
         out
     }
 
-    fn time_gemm_kernel(&self, algo: Algo) -> KernelTiming {
-        self.time_gemm_kernel_opts(algo, false)
-    }
-
-    fn time_gemm_kernel_opts(&self, algo: Algo, counters: bool) -> KernelTiming {
+    fn time_gemm_kernel(&self, algo: Algo, opts: TimingOptions) -> KernelTiming {
         let (m, n_pad, kd) = self.gemm_dims();
         let kern = GemmKernel::emit(self.gemm_config(algo));
         let mut gpu = self.gpu_for(((kd * m + kd * n_pad + m * n_pad) as u64) * 4 + (1 << 20));
@@ -617,21 +501,14 @@ impl Conv {
             kern.launch_dims(),
             &kern.params(da, db, dc),
             DeviceOptions {
-                base: TimingOptions {
-                    counters,
-                    ..Default::default()
-                },
+                base: opts,
                 ..Default::default()
             },
         )
         .expect("gemm timing")
     }
 
-    fn time_nonfused_gemm(&self) -> KernelTiming {
-        self.time_nonfused_gemm_opts(false)
-    }
-
-    fn time_nonfused_gemm_opts(&self, counters: bool) -> KernelTiming {
+    fn time_nonfused_gemm(&self, opts: TimingOptions) -> KernelTiming {
         let p = &self.problem;
         // 36 batches of [K×C] × [C×tiles] with F(4×4,3×3) tiling.
         let tiles = (p.out_h().div_ceil(4) * p.out_w().div_ceil(4) * p.n) as u32;
@@ -651,10 +528,7 @@ impl Conv {
             kern.launch_dims(),
             &kern.params(da, db, dc),
             DeviceOptions {
-                base: TimingOptions {
-                    counters,
-                    ..Default::default()
-                },
+                base: opts,
                 ..Default::default()
             },
         )

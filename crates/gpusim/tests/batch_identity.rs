@@ -12,7 +12,6 @@
 use gpusim::{timing, BatchTimer, DeviceSpec, Gpu, TimingOptions};
 use kernels::{FusedConfig, FusedKernel};
 use sass::tune::{detune, Tuner};
-use sass::Module;
 
 #[test]
 fn batch_timer_matches_fresh_decode() {
@@ -52,12 +51,7 @@ fn batch_timer_matches_fresh_decode() {
     for dev in [DeviceSpec::v100(), DeviceSpec::rtx2070()] {
         let mut batch = BatchTimer::new(&base);
         for (i, (insts, perm)) in cands.iter().enumerate() {
-            let cand = Module::new(
-                &base.info.name,
-                base.info.smem_bytes,
-                base.info.param_bytes,
-                insts.clone(),
-            );
+            let cand = base.with_insts(insts.clone());
 
             let mut gpu = Gpu::new(dev.clone(), 1 << 22);
             let params = kern.params(gpu.alloc(din), gpu.alloc(dtf), gpu.alloc(dout));

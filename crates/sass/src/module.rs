@@ -66,6 +66,17 @@ impl Module {
         }
     }
 
+    /// This module's name, shared memory and parameter size around another
+    /// instruction list (a rescheduled variant); `num_regs` is re-derived.
+    pub fn with_insts(&self, insts: Vec<Instruction>) -> Module {
+        Module::new(
+            self.info.name.clone(),
+            self.info.smem_bytes,
+            self.info.param_bytes,
+            insts,
+        )
+    }
+
     /// True if any instruction is a block-wide barrier.
     pub fn uses_barriers(&self) -> bool {
         self.insts.iter().any(|i| matches!(i.op, Op::BarSync))

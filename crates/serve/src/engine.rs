@@ -127,9 +127,10 @@ fn key(e: &Event) -> u32 {
     }
 }
 
-/// Nearest-rank percentile of a sorted slice; `None` on an empty slice so
-/// callers decide how "no data" reads (the report uses 0).
-fn percentile(sorted: &[u64], p: f64) -> Option<u64> {
+/// Nearest-rank percentile of an ascending slice (rank clamped to
+/// `[1, len]`); `None` on an empty slice so callers decide how "no data"
+/// reads (the engine report and `servemon` use 0).
+pub fn percentile(sorted: &[u64], p: f64) -> Option<u64> {
     if sorted.is_empty() {
         return None;
     }

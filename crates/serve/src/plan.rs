@@ -33,14 +33,11 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 
-use gpusim::digest::module_digest;
-use gpusim::{
-    time_kernel_device, BatchTimer, DeviceOptions, DeviceSpec, Digest, Gpu, TimingOptions,
-};
+use gpusim::digest::module_hex;
+use gpusim::{DeviceSpec, Digest};
 use kernels::{EmitterParams, FusedConfig, FusedKernel};
-use perfmodel::{break_even_k, nonfused_viable, BottleneckReport};
+use perfmodel::{break_even_k, BottleneckReport};
 use sass::island::{run_islands, IslandConfig, Priors, SeedKind};
-use sass::tune::TuneRegion;
 use sass::Module;
 use wino_core::{Algo, Conv};
 
@@ -279,14 +276,9 @@ impl Plan {
     pub fn verify(&self) -> bool {
         match &self.tuned {
             None => true,
-            Some(t) => match Module::from_cubin(&t.cubin) {
-                Ok(m) => {
-                    let mut d = Digest::new();
-                    module_digest(&m, &mut d);
-                    d.hex() == t.schedule_digest
-                }
-                Err(_) => false,
-            },
+            Some(t) => {
+                Module::from_cubin(&t.cubin).is_ok_and(|m| module_hex(&m) == t.schedule_digest)
+            }
         }
     }
 }
@@ -525,22 +517,11 @@ impl Planner {
             .collect()
     }
 
-    /// Candidate algorithms for `class`: the fused kernels plus implicit
-    /// GEMM, with the nonfused F(4×4) pipeline admitted only above the
-    /// device's breakeven `K` (below it, fused F(2×2) provably wins — see
-    /// `perfmodel::break_even_k` — so probing it would waste PROBE_RUNS).
+    /// Candidate algorithms for `class`: the network planner's rule,
+    /// [`wino_core::netgraph::candidates`] (the candidate set depends only
+    /// on `C`, `K` and the device, not the batch size).
     pub fn candidates(&self, class: &ShapeClass) -> Vec<Algo> {
-        let fused_ok = class.c.is_multiple_of(8) && class.k.is_multiple_of(64);
-        let mut algos = Vec::new();
-        if fused_ok {
-            algos.push(Algo::OursFused);
-        }
-        algos.push(Algo::CudnnWinograd);
-        algos.push(Algo::ImplicitPrecompGemm);
-        if nonfused_viable(&self.device, f64::from(class.k)) {
-            algos.push(Algo::WinogradNonfused);
-        }
-        algos
+        wino_core::netgraph::candidates(&class.problem(self.batch_sizes[0]), &self.device)
     }
 
     /// Build the plan for `class` without a tuned-schedule store (any
@@ -618,27 +599,9 @@ impl Planner {
                 continue;
             };
             let tuned = entry.module().expect("load() verified the module");
-            let hand = FusedKernel::emit(cfg);
-            let capacity = 1usize << 30;
-            let dims = hand.launch_dims();
-            let alloc_bytes = fused_alloc_bytes(&cfg);
-            let opts = TimingOptions {
-                region: Some(hand.region),
-                ..Default::default()
-            };
-            let dopts = DeviceOptions {
-                base: opts,
-                ..Default::default()
-            };
-            let time_module = |m: &Module| {
-                let mut gpu = Gpu::new(self.device.clone(), capacity);
-                let a = gpu.alloc(alloc_bytes[0]);
-                let b = gpu.alloc(alloc_bytes[1]);
-                let o = gpu.alloc(alloc_bytes[2]);
-                let params = hand.params(a, b, o);
-                time_kernel_device(&mut gpu, m, dims, &params, dopts).ok()
-            };
-            let (Some(hand_t), Some(tuned_t)) = (time_module(&hand.module), time_module(&tuned))
+            let rig = FusedKernel::emit(cfg).rig(&self.device);
+            let time_module = |m: &Module| rig.time_device(m, rig.opts).ok();
+            let (Some(hand_t), Some(tuned_t)) = (time_module(rig.module()), time_module(&tuned))
             else {
                 continue;
             };
@@ -677,66 +640,16 @@ impl Planner {
     fn tune_fused(&self, class: &ShapeClass, top: &wino_core::AlgoTiming, plan: &mut Plan) {
         let n = *self.batch_sizes.last().unwrap();
         let cfg = FusedConfig::ours(class.c, class.hw, class.hw, n, class.k);
-        let hand = FusedKernel::emit(cfg);
-        let alloc_bytes = fused_alloc_bytes(&cfg);
-        let capacity = 1usize << 30;
-        let dims = hand.launch_dims();
-        let params = {
-            let mut gpu = Gpu::new(self.device.clone(), capacity);
-            let a = gpu.alloc(alloc_bytes[0]);
-            let b = gpu.alloc(alloc_bytes[1]);
-            let o = gpu.alloc(alloc_bytes[2]);
-            hand.params(a, b, o)
-        };
-        let opts = TimingOptions {
-            region: Some(hand.region),
-            ..Default::default()
-        };
-
-        let timer = BatchTimer::new(&hand.module);
-        let base = hand.module.clone();
-        let dev = self.device.clone();
-        let params_ref = &params;
-        let make_objective = |_: usize| {
-            let mut batch = timer.clone();
-            let base = base.clone();
-            let dev = dev.clone();
-            move |insts: &[sass::Instruction], perm: &[u32]| {
-                let cand = Module::new(
-                    &base.info.name,
-                    base.info.smem_bytes,
-                    base.info.param_bytes,
-                    insts.to_vec(),
-                );
-                let mut gpu = Gpu::new(dev.clone(), capacity);
-                for &b in &alloc_bytes {
-                    gpu.alloc(b);
-                }
-                batch
-                    .time(&mut gpu, &cand, perm, dims, params_ref, opts)
-                    .ok()
-                    .map(|t| t.wave_cycles)
-            }
-        };
-
-        let regions: Vec<TuneRegion> = hand
-            .regions
-            .iter()
-            .map(|r| TuneRegion {
-                name: r.name.clone(),
-                start: r.start,
-                end: r.end,
-            })
-            .collect();
+        let rig = FusedKernel::emit(cfg).rig(&self.device);
         let mut icfg = IslandConfig::new(2, 2, (self.tune_budget / 4).max(1), self.tune_seed);
         icfg.seeds = vec![SeedKind::Hand, SeedKind::HandGreedy];
         icfg.jobs = 1;
         let outcome = run_islands(
-            &hand.module.insts,
-            &regions,
+            &rig.module().insts,
+            &rig.tune_regions,
             &Priors::default(),
             &icfg,
-            make_objective,
+            |_| rig.objective(),
         );
         let hand_cycles = outcome.per_island[0].start_cost;
         // Modeled tuning cost: every objective evaluation is one on-device
@@ -747,23 +660,10 @@ impl Planner {
             return; // annealing found nothing better; keep the hand schedule
         }
 
-        let best = Module::new(
-            &base.info.name,
-            base.info.smem_bytes,
-            base.info.param_bytes,
-            outcome.best_insts.clone(),
-        );
+        let best = rig.with_insts(outcome.best_insts.clone());
         // Re-time the tuned module through the full device model and fold
         // the kernel-phase delta into the largest-batch variant.
-        let mut gpu = Gpu::new(self.device.clone(), capacity);
-        for &b in &alloc_bytes {
-            gpu.alloc(b);
-        }
-        let dopts = DeviceOptions {
-            base: opts,
-            ..Default::default()
-        };
-        let Ok(tuned_t) = time_kernel_device(&mut gpu, &best, dims, &params, dopts) else {
+        let Ok(tuned_t) = rig.time_device(&best, rig.opts) else {
             return;
         };
         let hand_kernel = top.kernel.as_ref().expect("fused timing has a kernel");
@@ -773,14 +673,9 @@ impl Planner {
         let v = plan.variants.last_mut().unwrap();
         let saved = to_ns(hand_kernel.time_s) - to_ns(tuned_t.time_s);
         v.service_ns -= saved.min(v.service_ns);
-        let schedule_digest = {
-            let mut d = Digest::new();
-            module_digest(&best, &mut d);
-            d.hex()
-        };
         plan.tuned = Some(TunedSchedule {
             n,
-            schedule_digest,
+            schedule_digest: module_hex(&best),
             cubin: best.to_cubin(),
             hand_cycles,
             tuned_cycles: outcome.best_cost,
@@ -804,23 +699,6 @@ impl Planner {
         cache.put(&key, &plan);
         (plan, false)
     }
-}
-
-/// Device-buffer sizes (input, transformed filter, output) for one fused
-/// problem shape, bytes.
-fn fused_alloc_bytes(cfg: &FusedConfig) -> [u64; 3] {
-    let (c64, h64, w64, n64, k64) = (
-        u64::from(cfg.c),
-        u64::from(cfg.h),
-        u64::from(cfg.w),
-        u64::from(cfg.n),
-        u64::from(cfg.k),
-    );
-    [
-        c64 * h64 * w64 * n64 * 4,
-        c64 * 16 * k64 * 4,
-        k64 * h64 * w64 * n64 * 4,
-    ]
 }
 
 /// Seconds → integer nanoseconds (round to nearest, min 1).
@@ -927,15 +805,10 @@ mod tests {
     fn tuned_cubin_round_trip_and_verify() {
         let cfg = FusedConfig::ours(32, 8, 8, 32, 64);
         let kern = FusedKernel::emit(cfg);
-        let digest = {
-            let mut d = Digest::new();
-            module_digest(&kern.module, &mut d);
-            d.hex()
-        };
         let mut p = plan_fixture();
         p.tuned = Some(TunedSchedule {
             n: 32,
-            schedule_digest: digest,
+            schedule_digest: module_hex(&kern.module),
             cubin: kern.module.to_cubin(),
             hand_cycles: 100,
             tuned_cycles: 90,
@@ -1003,11 +876,7 @@ mod tests {
             &kern.config,
             &StoredSchedule {
                 params: "bk64-bn32-bc8-w64-p2".into(),
-                schedule_digest: {
-                    let mut d = Digest::new();
-                    module_digest(&kern.module, &mut d);
-                    d.hex()
-                },
+                schedule_digest: module_hex(&kern.module),
                 cubin: kern.module.to_cubin(),
                 hand_cycles: 100,
                 tuned_cycles: 90,
@@ -1034,11 +903,6 @@ mod tests {
         let sched = ScheduleStore::new(&mem);
         let cfg = FusedConfig::ours(class.c, class.hw, class.hw, 32, class.k);
         let hand = FusedKernel::emit(cfg);
-        let digest_of = |m: &Module| {
-            let mut d = Digest::new();
-            module_digest(m, &mut d);
-            d.hex()
-        };
 
         let mut plan = ours_plan(&planner, &class);
         assert!(
@@ -1053,7 +917,7 @@ mod tests {
             &cfg,
             &StoredSchedule {
                 params: EmitterParams::hand().label(),
-                schedule_digest: digest_of(&hand.module),
+                schedule_digest: module_hex(&hand.module),
                 cubin: hand.module.to_cubin(),
                 hand_cycles: 100,
                 tuned_cycles: 1,
@@ -1068,58 +932,18 @@ mod tests {
 
         // Manufacture a genuine winner: two islands seeded from the hand
         // schedule (one greedy-tightened) against the real simulator.
-        let regions: Vec<TuneRegion> = hand
-            .regions
-            .iter()
-            .map(|r| TuneRegion {
-                name: r.name.clone(),
-                start: r.start,
-                end: r.end,
-            })
-            .collect();
-        let opts = TimingOptions {
-            region: Some(hand.region),
-            ..Default::default()
-        };
-        let alloc = fused_alloc_bytes(&cfg);
-        let params = {
-            let mut gpu = Gpu::new(planner.device.clone(), 1 << 22);
-            let a = gpu.alloc(alloc[0]);
-            let b = gpu.alloc(alloc[1]);
-            let o = gpu.alloc(alloc[2]);
-            hand.params(a, b, o)
-        };
-        let timer = BatchTimer::new(&hand.module);
+        let rig = hand.rig(&planner.device);
         let mut icfg = IslandConfig::new(2, 2, 1, 2020);
         icfg.seeds = vec![SeedKind::Hand, SeedKind::HandGreedy];
         let outcome = run_islands(
             &hand.module.insts,
-            &regions,
+            &rig.tune_regions,
             &Priors::default(),
             &icfg,
             |_| {
-                let mut timer = timer.clone();
-                let params = params.clone();
-                let dev = planner.device.clone();
-                let base = hand.module.clone();
-                let dims = hand.launch_dims();
+                let mut objective = rig.objective();
                 move |insts: &[sass::Instruction], perm: &[u32]| {
-                    let cand = Module::new(
-                        &base.info.name,
-                        base.info.smem_bytes,
-                        base.info.param_bytes,
-                        insts.to_vec(),
-                    );
-                    let mut gpu = Gpu::new(dev.clone(), 1 << 22);
-                    for &b in &alloc {
-                        gpu.alloc(b);
-                    }
-                    Some(
-                        timer
-                            .time(&mut gpu, &cand, perm, dims, &params, opts)
-                            .unwrap()
-                            .wave_cycles,
-                    )
+                    Some(objective(insts, perm).expect("candidate timing failed"))
                 }
             },
         );
@@ -1127,18 +951,13 @@ mod tests {
             outcome.best_cost < outcome.per_island[0].start_cost,
             "greedy-tightened island failed to beat the hand schedule"
         );
-        let best = Module::new(
-            &hand.module.info.name,
-            hand.module.info.smem_bytes,
-            hand.module.info.param_bytes,
-            outcome.best_insts.clone(),
-        );
+        let best = rig.with_insts(outcome.best_insts.clone());
         sched.save(
             &planner.device,
             &cfg,
             &StoredSchedule {
                 params: EmitterParams::hand().label(),
-                schedule_digest: digest_of(&best),
+                schedule_digest: module_hex(&best),
                 cubin: best.to_cubin(),
                 hand_cycles: outcome.per_island[0].start_cost,
                 tuned_cycles: outcome.best_cost,
@@ -1154,7 +973,7 @@ mod tests {
         let tuned = plan.tuned.expect("adopted schedule recorded");
         assert_eq!(tuned.source, "store");
         assert_eq!(tuned.n, 32);
-        assert_eq!(tuned.schedule_digest, digest_of(&best));
+        assert_eq!(tuned.schedule_digest, module_hex(&best));
         assert!(
             tuned.tuned_cycles < tuned.hand_cycles,
             "recorded device-model cycles must show the win"

@@ -21,7 +21,7 @@
 //! Entries use the same exact line-based text convention as
 //! `plan`: integers in decimal, the cubin as hex, round-trip byte-exact.
 
-use gpusim::digest::module_digest;
+use gpusim::digest::module_hex;
 use gpusim::{DeviceSpec, Digest};
 use kernels::FusedConfig;
 use sass::Module;
@@ -112,9 +112,7 @@ impl StoredSchedule {
     /// Decode the cubin and check it against the recorded digest.
     pub fn module(&self) -> Option<Module> {
         let m = Module::from_cubin(&self.cubin).ok()?;
-        let mut d = Digest::new();
-        module_digest(&m, &mut d);
-        (d.hex() == self.schedule_digest).then_some(m)
+        (module_hex(&m) == self.schedule_digest).then_some(m)
     }
 }
 
@@ -192,14 +190,9 @@ mod tests {
     fn entry() -> (FusedConfig, StoredSchedule) {
         let cfg = FusedConfig::ours(32, 8, 8, 32, 64);
         let kern = FusedKernel::emit(cfg);
-        let digest = {
-            let mut d = Digest::new();
-            module_digest(&kern.module, &mut d);
-            d.hex()
-        };
         let sched = StoredSchedule {
             params: "bk64-bn32-bc8-w64-p2".into(),
-            schedule_digest: digest,
+            schedule_digest: module_hex(&kern.module),
             cubin: kern.module.to_cubin(),
             hand_cycles: 31018,
             tuned_cycles: 30269,

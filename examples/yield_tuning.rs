@@ -6,7 +6,7 @@
 //! cargo run --release --example yield_tuning
 //! ```
 
-use winograd_gpu::gpusim::DeviceSpec;
+use winograd_gpu::gpusim::{DeviceSpec, TimingOptions};
 use winograd_gpu::kernels::YieldStrategy;
 use winograd_gpu::wino_core::{Conv, ConvProblem};
 
@@ -24,7 +24,7 @@ fn main() {
     ] {
         let mut cfg = conv.ours_config();
         cfg.yield_strategy = strat;
-        let (timing, tflops) = conv.time_fused_mainloop(cfg);
+        let (timing, tflops) = conv.time_fused_mainloop(cfg, TimingOptions::default());
         println!(
             "  {:<24} {:>6.2} TFLOPS   (yield-induced warp switches per wave: {})",
             name, tflops, timing.yield_switch_cycles
