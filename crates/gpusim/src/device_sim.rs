@@ -14,20 +14,26 @@
 //!   runs the existing decoded-table/cycle-skipping wave loop
 //!   (`crate::timing::simulate_wave`) per wave, with the SM's L1/L2 image
 //!   and memory-backend backlog carried from wave to wave;
-//! * a device-level [`TimeQueue`] — the per-scheduler wake-up logic lifted
-//!   to device scope — advances SMs event-driven: each busy SM sits in the
-//!   queue at its next wave boundary, workers always pop the earliest, and
-//!   idle SMs (no blocks assigned) are never enqueued, so they cost
-//!   nothing;
 //! * the L2/DRAM **bandwidth share** charged inside a wave is
 //!   `1/busy_sms(wave)` of the device, not `1/S`, so the tail waves of an
 //!   uneven grid see their true (larger) share;
-//! * SMs are **sharded across worker threads** the way `bench::sweep`
-//!   shards grid points (shared work queue + scoped threads), and results
-//!   merge in SM-index order. Per-SM simulations are mutually independent
-//!   (the share curve is precomputed from the dispatch alone), so
-//!   `KernelTiming`, `HwCounters` and stall profiles are bit-stable under
-//!   any `jobs` value.
+//! * SMs are simulated by **run-to-completion workers**: each worker takes
+//!   the next unclaimed SM from a shared counter and simulates all of its
+//!   waves before taking another, the way `bench::sweep` shards grid points
+//!   over scoped threads; idle SMs (no blocks assigned) are never claimed,
+//!   so they cost nothing. Results merge in SM-index order.
+//!
+//! **Why run-to-completion is exact.** No SM's simulation reads anything
+//! another SM's simulation produces: each SM owns its L1/L2 image and
+//! backend backlog (`SmCarry`), the bandwidth-share curve is a function
+//! of the dispatch alone (`Ctx::share_at`), and the paper's kernels write
+//! disjoint global memory per block and never read another block's output.
+//! The order in which SMs — or the waves of different SMs — are simulated
+//! therefore cannot change a single tally, so `KernelTiming`, `HwCounters`
+//! and stall profiles are bit-stable under any `jobs` value and equal to
+//! those of any interleaving of the SMs' waves, including simulating them
+//! in global time order (pinned by `tests/device_identity.rs`). A worker
+//! that runs out of SMs simply exits — there is no cross-worker waiting.
 //!
 //! **Steady-state fast-forward.** The paper's kernels run thousands of
 //! identical blocks; simulating every wave of every SM would cost hundreds
@@ -66,7 +72,6 @@ use crate::device::DeviceSpec;
 use crate::launch::{Gpu, LaunchDims, LaunchError, SharedMem};
 use crate::memory::{ConstBank, GlobalMemory};
 use crate::simprof::KernelProfile;
-use crate::timeq::TimeQueue;
 use crate::timing::{
     effective_residency, grid_coord, simulate_wave, zero_timing, KernelTiming, SmCarry,
     TimingOptions, WaveOutput, WaveParams,
@@ -286,8 +291,7 @@ impl SmAcc {
     }
 }
 
-/// One SM's progress through its block list: the payload parked in the
-/// device [`TimeQueue`] at the SM's next wave boundary.
+/// One SM's progress through its block list.
 struct SmState {
     sm: u64,
     /// Full waves of `resident` blocks this SM runs.
@@ -319,10 +323,17 @@ impl SmState {
         self.w >= self.full && self.rem == 0
     }
 
-    /// Simulate this SM's next wave (or fast-forward chunk); returns the
-    /// device-time cycles consumed, i.e. this SM's next wave boundary
-    /// relative to its current one.
-    fn advance(&mut self, cx: &Ctx<'_>, mem: &mut GlobalMemory) -> Result<u64, LaunchError> {
+    /// Simulate every wave of SM `sm` back to back and return its tallies.
+    fn run(cx: &Ctx<'_>, sm: u64, mem: &mut GlobalMemory) -> Result<SmAcc, LaunchError> {
+        let mut st = SmState::new(cx, sm);
+        while !st.done() {
+            st.advance(cx, mem)?;
+        }
+        Ok(st.acc)
+    }
+
+    /// Simulate this SM's next wave (or fast-forward chunk).
+    fn advance(&mut self, cx: &Ctx<'_>, mem: &mut GlobalMemory) -> Result<(), LaunchError> {
         let (wave, n, share) = if self.w < self.full {
             (self.w, cx.resident, cx.share_at(self.w))
         } else {
@@ -360,7 +371,7 @@ impl SmState {
                 });
             }
             self.acc.add(out, 1);
-            return Ok(cycles);
+            return Ok(());
         }
         // Steady-state fast-forward: this wave plus every following full
         // wave with the same bandwidth share, once the cost has settled
@@ -400,7 +411,7 @@ impl SmState {
         }
         self.acc.add(out, k);
         self.w += k;
-        Ok(k * cycles)
+        Ok(())
     }
 }
 
@@ -514,45 +525,21 @@ fn run_device(
         v
     };
 
-    // The device event queue: every simulated SM parked at its next wave
-    // boundary; idle SMs are never enqueued. Workers pop the earliest SM,
-    // simulate its next wave, and park it again — event-driven advancement
-    // in global time order.
-    let mut seed: TimeQueue<u64, SmState> = TimeQueue::new();
-    for (i, &(sm, _)) in plan.iter().enumerate() {
-        seed.push(0, i as u64, SmState::new(&cx, sm));
-    }
-    let queue = std::sync::Mutex::new(seed);
-    let slots_total = plan.len();
-    let mut results: Vec<Option<Result<SmAcc, LaunchError>>> = Vec::new();
-    results.resize_with(slots_total, || None);
-    let finished = std::sync::atomic::AtomicUsize::new(0);
-
-    // One scheduling step: pop the earliest SM, advance it one wave, park
-    // it again or retire it. Returns false when no work was available.
-    let step = |mem: &mut GlobalMemory,
-                slots: &mut dyn FnMut(usize, Result<SmAcc, LaunchError>)| {
-        let popped = queue.lock().unwrap().pop();
-        let Some((t, i, mut st)) = popped else {
-            return false;
-        };
-        match st.advance(&cx, mem) {
-            Err(e) => {
-                slots(i as usize, Err(e));
-                finished.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-            Ok(dt) => {
-                if st.done() {
-                    slots(i as usize, Ok(st.acc));
-                    finished.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                } else {
-                    queue.lock().unwrap().push(t + dt, i, st);
-                }
-            }
+    // Run-to-completion workers: each claims the next unsimulated SM of the
+    // plan and runs all of its waves (see the module docs for why the
+    // claim order cannot change a result). `Relaxed` suffices: the counter
+    // only hands out indices, and results come back through `join`.
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let worker = |mem: &mut GlobalMemory| {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            let Some(&(sm, _)) = plan.get(i) else {
+                return done;
+            };
+            done.push((i, SmState::run(&cx, sm, mem)));
         }
-        true
     };
-
     let jobs = if opts.jobs == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -560,39 +547,29 @@ fn run_device(
     } else {
         opts.jobs
     }
-    .clamp(1, slots_total);
-    if jobs == 1 {
-        let mut place = |i: usize, r: Result<SmAcc, LaunchError>| results[i] = Some(r);
-        while step(&mut gpu.mem, &mut place) {}
+    .clamp(1, plan.len());
+    let mut finished: Vec<(usize, Result<SmAcc, LaunchError>)> = if jobs == 1 {
+        worker(&mut gpu.mem)
     } else {
-        // Shard across workers, `bench::sweep`-style. The SAFETY contract of
-        // `SharedMem` holds because the paper's kernels write disjoint
-        // regions per block and never read another block's output — the
-        // same contract `Gpu::launch_parallel` runs under. Per-SM results
-        // are independent of pop interleaving, so the merge below is
-        // bit-stable for any worker count.
+        // The SAFETY contract of `SharedMem` holds because the paper's
+        // kernels write disjoint regions per block and never read another
+        // block's output — the same contract `Gpu::launch_parallel` runs
+        // under.
         let mem_ptr = &SharedMem(&mut gpu.mem as *mut GlobalMemory);
-        let slots_mx = std::sync::Mutex::new(&mut results);
         std::thread::scope(|s| {
-            for _ in 0..jobs {
-                s.spawn(|| loop {
-                    if finished.load(std::sync::atomic::Ordering::Relaxed) >= slots_total {
-                        break;
-                    }
-                    // SAFETY: disjoint-block-writes contract, see above.
-                    let mem = unsafe { mem_ptr.get() };
-                    let mut place = |i: usize, r: Result<SmAcc, LaunchError>| {
-                        slots_mx.lock().unwrap()[i] = Some(r);
-                    };
-                    if !step(mem, &mut place) {
-                        // Another worker holds the only in-flight SMs; wait
-                        // for them to be parked again or retired.
-                        std::thread::yield_now();
-                    }
-                });
-            }
-        });
-    }
+            let handles: Vec<_> = (0..jobs)
+                // SAFETY: disjoint-block-writes contract, see above.
+                .map(|_| s.spawn(|| worker(unsafe { mem_ptr.get() })))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("device-sim worker panicked"))
+                .collect()
+        })
+    };
+    // Every plan index was claimed exactly once; back into plan order.
+    finished.sort_unstable_by_key(|&(i, _)| i);
+    debug_assert_eq!(finished.len(), plan.len());
 
     // Deterministic merge, in SM-index order.
     let schedulers = device.schedulers_per_sm as usize;
@@ -613,8 +590,8 @@ fn run_device(
     let mut profile: Option<KernelProfile> = None;
     let mut counters: Option<HwCounters> = None;
     let mut trace = opts.trace.then(DeviceTrace::default);
-    for (slot, &(_, k)) in results.into_iter().zip(plan.iter()) {
-        let acc = slot.expect("every planned SM simulated")?;
+    for ((_, acc), &(_, k)) in finished.into_iter().zip(plan.iter()) {
+        let acc = acc?;
         if let Some(tr) = &mut trace {
             // Plan order is SM-index order, so spans land lane-sorted.
             tr.spans.extend_from_slice(&acc.spans);

@@ -96,7 +96,11 @@ impl Warp {
 
     /// The context that executes next (lowest PC), if any.
     pub fn current_ctx(&self) -> Option<WarpCtx> {
-        self.ctxs.iter().copied().min_by_key(|c| c.pc)
+        match self.ctxs.as_slice() {
+            // Converged warp: the common case needs no scan.
+            [only] => Some(*only),
+            ctxs => ctxs.iter().copied().min_by_key(|c| c.pc),
+        }
     }
 }
 
@@ -157,6 +161,18 @@ pub struct MemTrace {
     pub is_store: bool,
     /// Lanes that executed the instruction (guard ∧ divergence mask).
     pub exec_mask: u32,
+}
+
+impl MemTrace {
+    /// Back to the empty (`Default`) trace, keeping the address buffers'
+    /// capacity for the next step.
+    fn reset(&mut self) {
+        self.global_addrs.clear();
+        self.shared_addrs.clear();
+        self.width = 0;
+        self.is_store = false;
+        self.exec_mask = 0;
+    }
 }
 
 #[inline]
@@ -229,33 +245,52 @@ pub fn step(
     env: &mut ExecEnv<'_>,
     warp_idx: u32,
 ) -> Result<(StepEvent, MemTrace), ExecError> {
+    let mut trace = MemTrace::default();
+    let event = step_into(warp, insts, env, warp_idx, &mut trace).map_err(|e| *e)?;
+    Ok((event, trace))
+}
+
+/// [`step`] writing the address trace into a caller-owned buffer (reset
+/// first; the result equals the trace [`step`] returns), so loops that step
+/// millions of warp-instructions reuse one allocation. The error is boxed to
+/// keep the `Result` small on the hot path.
+pub fn step_into(
+    warp: &mut Warp,
+    insts: &[Instruction],
+    env: &mut ExecEnv<'_>,
+    warp_idx: u32,
+    trace: &mut MemTrace,
+) -> Result<StepEvent, Box<ExecError>> {
+    trace.reset();
     let ctx = match warp.current_ctx() {
         Some(c) => c,
         None => {
             warp.exited = true;
-            return Ok((StepEvent::Exited, MemTrace::default()));
+            return Ok(StepEvent::Exited);
         }
     };
     let pc = ctx.pc;
     let inst = match insts.get(pc as usize) {
         Some(i) => *i,
         None => {
-            return Err(ExecError {
+            return Err(Box::new(ExecError {
                 ctaid: env.ctaid,
                 warp: warp_idx,
                 pc,
                 inst: "<end of code>".into(),
                 msg: "fell off the end of the instruction stream (missing EXIT?)".into(),
-            })
+            }))
         }
     };
 
-    let fail = |msg: String| ExecError {
-        ctaid: env.ctaid,
-        warp: warp_idx,
-        pc,
-        inst: sass::disasm::inst_text(&inst),
-        msg,
+    let fail = |msg: String| {
+        Box::new(ExecError {
+            ctaid: env.ctaid,
+            warp: warp_idx,
+            pc,
+            inst: sass::disasm::inst_text(&inst),
+            msg,
+        })
     };
 
     // Per-lane guard evaluation. Unpredicated instructions (@PT, the common
@@ -292,9 +327,9 @@ pub fn step(
             }
             if warp.ctxs.is_empty() {
                 warp.exited = true;
-                return Ok((StepEvent::Exited, MemTrace::default()));
+                return Ok(StepEvent::Exited);
             }
-            return Ok((StepEvent::Executed, MemTrace::default()));
+            return Ok(StepEvent::Executed);
         }
         Op::Bra { target } => {
             remove_ctx(warp, pc);
@@ -316,7 +351,7 @@ pub fn step(
                     },
                 );
             }
-            return Ok((StepEvent::Executed, MemTrace::default()));
+            return Ok(StepEvent::Executed);
         }
         Op::BarSync => {
             if warp.ctxs.len() > 1 {
@@ -325,16 +360,13 @@ pub fn step(
                 ));
             }
             advance_ctx(warp, pc);
-            return Ok((StepEvent::Barrier, MemTrace::default()));
+            return Ok(StepEvent::Barrier);
         }
         _ => {}
     }
 
     // Data instructions: execute lane-by-lane under exec_mask.
-    let mut trace = MemTrace {
-        exec_mask,
-        ..MemTrace::default()
-    };
+    trace.exec_mask = exec_mask;
     let cbank = env.cbank;
     let bd = env.block_dim;
     let ctaid = env.ctaid;
@@ -822,7 +854,7 @@ pub fn step(
     }
 
     advance_ctx(warp, pc);
-    Ok((StepEvent::Executed, trace))
+    Ok(StepEvent::Executed)
 }
 
 fn lanes(mask: u32) -> impl Iterator<Item = usize> {
@@ -896,6 +928,13 @@ fn push_ctx(warp: &mut Warp, ctx: WarpCtx) {
 }
 
 fn advance_ctx(warp: &mut Warp, pc: u32) {
+    // Converged warp stepping its only context: move it in place.
+    if let [only] = warp.ctxs.as_mut_slice() {
+        if only.pc == pc && only.mask != 0 {
+            only.pc = pc + 1;
+            return;
+        }
+    }
     let mut moved = 0u32;
     warp.ctxs.retain(|c| {
         if c.pc == pc {

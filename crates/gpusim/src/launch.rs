@@ -7,9 +7,9 @@
 use sass::Module;
 
 use crate::device::DeviceSpec;
-use crate::exec::{step, ExecEnv, ExecError, MemTrace, StepEvent, Warp, WARP_SIZE};
+use crate::exec::{step_into, ExecEnv, ExecError, MemTrace, StepEvent, Warp, WARP_SIZE};
 use crate::memory::{ConstBank, DevPtr, GlobalMemory};
-use crate::timing::{global_sectors, smem_phases};
+use crate::timing::{global_sectors_into, smem_phases};
 
 /// Grid/block shape for a launch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -88,7 +88,8 @@ impl std::error::Error for LaunchError {}
 /// global_store_sectors`, and on a grid the timed wave fully covers, the
 /// per-access phase and sector analysis agrees exactly with the counters
 /// `time_kernel` collects (asserted by `gpusim/tests/counter_invariants.rs`)
-/// — both paths call the same [`smem_phases`] / [`global_sectors`] analysis.
+/// — both paths call the same [`smem_phases`] /
+/// [`global_sectors`](crate::timing::global_sectors) analysis.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ExecCounters {
     /// Thread blocks executed.
@@ -112,7 +113,9 @@ pub struct ExecCounters {
 }
 
 impl ExecCounters {
-    fn record(&mut self, t: &MemTrace) {
+    /// Fold one executed instruction's trace in; `sectors` is a scratch
+    /// buffer reused across calls.
+    fn record(&mut self, t: &MemTrace, sectors: &mut Vec<u64>) {
         if !t.shared_addrs.is_empty() {
             let phases = smem_phases(&t.shared_addrs, t.width) as u64;
             let ideal = (t.width as u64 * t.shared_addrs.len() as u64).div_ceil(128);
@@ -123,7 +126,8 @@ impl ExecCounters {
             self.smem_ideal_phases += phases - extra;
         }
         if !t.global_addrs.is_empty() {
-            let sectors = global_sectors(&t.global_addrs, t.width).len() as u64;
+            global_sectors_into(&t.global_addrs, t.width, sectors);
+            let sectors = sectors.len() as u64;
             self.global_accesses += 1;
             self.global_sectors += sectors;
             if t.is_store {
@@ -243,6 +247,7 @@ impl Gpu {
         self.validate(module, &dims)?;
         let cbank = ConstBank::new(dims.block, dims.grid, params);
         let mut counters = ExecCounters::default();
+        let mut sectors = Vec::new();
         for bz in 0..dims.grid[2] {
             for by in 0..dims.grid[1] {
                 for bx in 0..dims.grid[0] {
@@ -252,7 +257,7 @@ impl Gpu {
                         &cbank,
                         [bx, by, bz],
                         dims.block,
-                        &mut |t| counters.record(t),
+                        &mut |t| counters.record(t, &mut sectors),
                     )
                     .map_err(LaunchError::Exec)?;
                     counters.blocks += 1;
@@ -373,6 +378,7 @@ pub fn run_block_traced(
         .collect();
     let mut at_barrier = vec![false; num_warps as usize];
     let mut steps: u64 = 0;
+    let mut trace = MemTrace::default();
 
     loop {
         let mut all_done = true;
@@ -391,8 +397,14 @@ pub fn run_block_traced(
                     ctaid,
                     block_dim,
                 };
-                let (event, trace) =
-                    step(&mut warps[w], module.insts.as_slice(), &mut env, w as u32)?;
+                let event = step_into(
+                    &mut warps[w],
+                    module.insts.as_slice(),
+                    &mut env,
+                    w as u32,
+                    &mut trace,
+                )
+                .map_err(|e| *e)?;
                 on_trace(&trace);
                 steps += 1;
                 if steps > STEP_LIMIT {

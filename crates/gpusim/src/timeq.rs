@@ -1,19 +1,14 @@
 //! `timeq` — a deterministic time-ordered event queue.
 //!
-//! Both levels of the simulator schedule work against future cycle counts:
+//! Inside one SM, the wave loop ([`crate::timing`]) parks scoreboard
+//! completions and deferred load writebacks at their delivery cycle; the
+//! serving engine (`serve::engine`) orders its discrete events the same
+//! way.
 //!
-//! * inside one SM, the wave loop ([`crate::timing`]) parks scoreboard
-//!   completions and deferred load writebacks at their delivery cycle;
-//! * at device level ([`crate::device_sim`]), whole SMs advance in order of
-//!   their next wave boundary — an SM with no pending work is simply never
-//!   enqueued, so idle SMs cost nothing.
-//!
-//! Before the full-device rebuild the wave loop used a raw
-//! `BinaryHeap<Reverse<Event>>`; `std`'s heap is only *weakly* ordered for
-//! equal keys (pop order among ties is unspecified across
-//! implementations), which is fine for one closed loop but not for a
-//! structure shared by two simulation levels that must produce bit-stable
-//! results under resharding. `TimeQueue` therefore pins the full order:
+//! `std`'s `BinaryHeap` is only *weakly* ordered for equal keys (pop order
+//! among ties is unspecified across implementations), which is not enough
+//! for simulations that must produce bit-stable results on every host.
+//! `TimeQueue` therefore pins the full order:
 //! entries pop by `(time, key)` with FIFO order among exact ties (a
 //! monotonic sequence number), so any two runs that push the same entries
 //! pop them identically.

@@ -38,7 +38,7 @@ use sass::Module;
 use crate::counters::{CounterCollector, HwCounters};
 use crate::decode::{decode_module, InstDesc, MemKind, PipeKind};
 use crate::device::DeviceSpec;
-use crate::exec::{step, ExecEnv, StepEvent, Warp, WARP_SIZE};
+use crate::exec::{step_into, ExecEnv, MemTrace, StepEvent, Warp, WARP_SIZE};
 use crate::launch::{Gpu, LaunchDims, LaunchError};
 use crate::memory::{ConstBank, GlobalMemory};
 use crate::simprof::{Collector, KernelProfile, SchedClass, StallCause};
@@ -207,6 +207,11 @@ impl L2Cache {
 /// broadcast-friendly across the full warp still conflict within a phase).
 /// Within a phase, the cost is the maximum over banks of the number of
 /// *distinct* 4 B words requested in that bank (same word broadcasts).
+///
+/// Window rule: when a phase's words all lie within 32 consecutive words,
+/// distinct words fall in distinct banks, so the phase costs exactly 1 and
+/// the per-bank count (a sort of the phase's words) is skipped. Only
+/// scattered patterns pay for the sort.
 pub fn smem_phases(addrs: &[u32], width_bytes: u32) -> u32 {
     if addrs.is_empty() {
         return 0;
@@ -220,11 +225,18 @@ pub fn smem_phases(addrs: &[u32], width_bytes: u32) -> u32 {
         // replaces the per-phase hash maps the hot loop used to allocate.
         let mut words = [0u32; 32];
         let mut n = 0usize;
+        let (mut lo, mut hi) = (u32::MAX, 0u32);
         for &a in chunk {
+            lo = lo.min(a / 4);
+            hi = hi.max(a / 4 + words_per_lane - 1);
             for w in 0..words_per_lane {
                 words[n] = a / 4 + w;
                 n += 1;
             }
+        }
+        if hi - lo < 32 {
+            total += 1;
+            continue;
         }
         words[..n].sort_unstable();
         // Distinct words per bank; the per-phase cost is the busiest bank.
@@ -250,7 +262,7 @@ pub fn global_sectors(addrs: &[u64], width_bytes: u32) -> Vec<u64> {
 
 /// [`global_sectors`] into a caller-owned scratch buffer, so the timing loop
 /// reuses one allocation across every global access of a launch.
-fn global_sectors_into(addrs: &[u64], width_bytes: u32, sectors: &mut Vec<u64>) {
+pub(crate) fn global_sectors_into(addrs: &[u64], width_bytes: u32, sectors: &mut Vec<u64>) {
     sectors.clear();
     for &a in addrs {
         let first = a / 32;
@@ -677,6 +689,7 @@ pub(crate) fn simulate_wave(
     let mut live_warps = num_warps;
     let mut idle_idx: Vec<Option<usize>> = vec![None; schedulers];
     let mut sector_scratch: Vec<u64> = Vec::new();
+    let mut trace = MemTrace::default();
     let mut guard_iter: u64 = 0;
     let max_cycles: u64 = 5_000_000_000;
 
@@ -876,7 +889,7 @@ pub(crate) fn simulate_wave(
                     }
                 }
             }
-            let (event, trace) = {
+            let event = {
                 let slot = &mut slots[chosen];
                 let mut env = ExecEnv {
                     global: &mut *mem,
@@ -885,13 +898,14 @@ pub(crate) fn simulate_wave(
                     ctaid,
                     block_dim: dims.block,
                 };
-                step(
+                step_into(
                     &mut slot.warp,
                     &module.insts,
                     &mut env,
                     (chosen % warps_per_block) as u32,
+                    &mut trace,
                 )
-                .map_err(LaunchError::Exec)?
+                .map_err(|e| LaunchError::Exec(*e))?
             };
             issued += 1;
             if let Some(p) = prof.as_mut() {
@@ -938,9 +952,8 @@ pub(crate) fn simulate_wave(
                 region_last = cycle;
             }
 
-            // Account cost per pipe.
-            let active_lanes = 32u64; // cost is per warp instruction
-            let _ = active_lanes;
+            // Account cost per pipe (per warp instruction, whatever the
+            // number of active lanes).
             match desc.pipe {
                 PipeKind::Fp32 => {
                     let mut occ = 2u64;
@@ -1329,6 +1342,8 @@ fn warm_l2(
         .collect();
     let mut at_barrier = vec![false; num_warps as usize];
     let mut steps: u64 = 0;
+    let mut trace = MemTrace::default();
+    let mut sectors: Vec<u64> = Vec::new();
     const WARM_STEP_LIMIT: u64 = 500_000_000;
     loop {
         let mut all_done = true;
@@ -1352,10 +1367,16 @@ fn warm_l2(
                     ctaid,
                     block_dim,
                 };
-                let (event, trace) =
-                    step(&mut warps[w], module.insts.as_slice(), &mut env, w as u32)
-                        .map_err(LaunchError::Exec)?;
-                for sec in global_sectors(&trace.global_addrs, trace.width.max(1)) {
+                let event = step_into(
+                    &mut warps[w],
+                    module.insts.as_slice(),
+                    &mut env,
+                    w as u32,
+                    &mut trace,
+                )
+                .map_err(|e| LaunchError::Exec(*e))?;
+                global_sectors_into(&trace.global_addrs, trace.width.max(1), &mut sectors);
+                for &sec in &sectors {
                     l2.access(sec * 32);
                 }
                 match event {
@@ -1426,6 +1447,88 @@ mod tests {
         assert_eq!(smem_phases(&addrs, 8), 2);
         // Predicated-off access (no active lanes) takes no phases.
         assert_eq!(smem_phases(&[], 4), 0);
+    }
+
+    /// Phase cost by per-bank counting of every phase, with no window
+    /// shortcut: the oracle [`smem_phases`] is checked against.
+    fn smem_phases_oracle(addrs: &[u32], width_bytes: u32) -> u32 {
+        if addrs.is_empty() {
+            return 0;
+        }
+        let words_per_lane = (width_bytes / 4).max(1);
+        let lanes_per_phase = (32 / words_per_lane).max(1) as usize;
+        let mut total = 0u32;
+        for chunk in addrs.chunks(lanes_per_phase) {
+            let mut words = [0u32; 32];
+            let mut n = 0usize;
+            for &a in chunk {
+                for w in 0..words_per_lane {
+                    words[n] = a / 4 + w;
+                    n += 1;
+                }
+            }
+            words[..n].sort_unstable();
+            let mut per_bank = [0u32; 32];
+            let mut prev = None;
+            for &word in &words[..n] {
+                if prev != Some(word) {
+                    per_bank[(word % 32) as usize] += 1;
+                    prev = Some(word);
+                }
+            }
+            total += per_bank.iter().copied().max().unwrap().max(1);
+        }
+        total
+    }
+
+    /// The window fast path agrees with the sort-based oracle on random,
+    /// broadcast, strided, bank-conflicting and partial (predicated) warp
+    /// address lists at every shared-memory access width.
+    #[test]
+    fn smem_phases_match_sorting_oracle() {
+        let mut rng = tensor::XorShiftRng::new(0x5eed_ba2c);
+        for width in [4u32, 8, 16] {
+            for trial in 0..4000 {
+                let base = (rng.next_u32() % 4096) * 4;
+                let stride = 4 * (rng.next_u32() % 70);
+                let active = rng.next_u32();
+                let addrs: Vec<u32> = (0..32u32)
+                    .map(|l| match trial % 6 {
+                        // Scattered words anywhere in a 48 KiB window.
+                        0 => (rng.next_u32() % 12288) * 4,
+                        // Broadcast, optionally a couple of distinct words.
+                        1 => base + 4 * (l % (1 + trial as u32 % 3)),
+                        // Constant stride, any multiple of 4 B.
+                        2 => base + l * stride,
+                        // Bank-conflicting: lanes spread over a few words of
+                        // one or two banks, 128 B apart.
+                        3 => base + 128 * (rng.next_u32() % 4) + 4 * (l % 2),
+                        // Unit stride at the access width, misaligned base.
+                        4 => base + l * width,
+                        // Nearly contiguous with one far-away outlier.
+                        _ => {
+                            if l == 7 {
+                                base + 4096
+                            } else {
+                                base + l * 4
+                            }
+                        }
+                    })
+                    .collect();
+                // Full warp, and the lanes a random predicate leaves active.
+                let predicated: Vec<u32> = (0..32)
+                    .filter(|l| active & (1 << l) != 0)
+                    .map(|l| addrs[l])
+                    .collect();
+                for list in [&addrs, &predicated] {
+                    assert_eq!(
+                        smem_phases(list, width),
+                        smem_phases_oracle(list, width),
+                        "width {width} addrs {list:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
