@@ -16,6 +16,12 @@
 //! * `sim_cycles_per_sec` — simulated cycles advanced per host second
 //! * `sim_instr_per_sec`  — instructions issued per host second
 //!
+//! plus one functional point per device (`functional_launch`): the fused
+//! kernel of the same problem run to completion through `Gpu::launch` (every
+//! block, one host thread), reporting `wall_ms`, `exec_steps` (warp-
+//! instructions executed) and `exec_steps_per_sec` — the host throughput of
+//! the functional executor itself.
+//!
 //! The committed `BENCH_simspeed.json` at the repo root is this binary's
 //! output (see EXPERIMENTS.md "Simulator speed"); CI runs `--smoke`
 //! to assert the numbers are sane but never gates on wall-clock.
@@ -31,7 +37,8 @@ use std::time::Instant;
 use bench::json::parse;
 use bench::report::{flag_value, Report};
 use bench::Table;
-use gpusim::{DeviceSpec, TimingOptions};
+use gpusim::{time_kernel_device, DeviceOptions, DeviceSpec, Gpu, TimingOptions};
+use kernels::FusedKernel;
 use wino_core::{Algo, Conv, ConvProblem};
 
 /// The fixed matrix: one mid-size ResNet-like layer, three algorithm
@@ -56,6 +63,60 @@ struct Point {
     issued: u64,
     busy_sms: u32,
     sim_time_s: f64,
+    /// Warp-instruction steps of a functional point (`None` for timing
+    /// points).
+    exec_steps: Option<u64>,
+}
+
+/// The functional point: the fused OURS kernel through `Gpu::launch`.
+fn functional_point(dev: &DeviceSpec, iters: u32) -> Point {
+    let conv = Conv::new(problem(), dev.clone());
+    let kern = FusedKernel::emit(conv.ours_config());
+    let c = kern.config;
+    let run = || {
+        let mut gpu = Gpu::new(dev.clone(), 1 << 26);
+        let din = gpu.alloc(u64::from(c.c * c.h * c.w * c.n) * 4);
+        let dtf = gpu.alloc(u64::from(c.c * 16 * c.k) * 4);
+        let dout = gpu.alloc(u64::from(c.k * c.h * c.w * c.n) * 4);
+        (gpu, kern.params(din, dtf, dout))
+    };
+    // Every issue of the exact device model (every SM, every wave, no
+    // fast-forward) is one functional step of one warp, so its issue count
+    // is the step count of the functional run of the same grid.
+    let (mut gpu, params) = run();
+    let exact = DeviceOptions {
+        base: TimingOptions {
+            counters: true,
+            ..Default::default()
+        },
+        exact: true,
+        ..Default::default()
+    };
+    let counted = time_kernel_device(&mut gpu, &kern.module, kern.launch_dims(), &params, exact)
+        .expect("exact device timing of the fused kernel");
+    let steps = counted
+        .counters
+        .as_ref()
+        .expect("counters requested")
+        .issued;
+    let mut best = f64::INFINITY;
+    for _ in 0..iters.max(1) {
+        let (mut gpu, params) = run();
+        let t0 = Instant::now();
+        gpu.launch(&kern.module, kern.launch_dims(), &params)
+            .expect("functional launch of the fused kernel");
+        best = best.min(t0.elapsed().as_secs_f64());
+    }
+    Point {
+        device: dev.name,
+        label: "functional_launch".to_string(),
+        wall_ms: best * 1e3,
+        wave_cycles: counted.wave_cycles,
+        issued: steps,
+        busy_sms: counted.busy_sms,
+        sim_time_s: counted.time_s,
+        exec_steps: Some(steps),
+    }
 }
 
 fn measure(iters: u32) -> Vec<Point> {
@@ -93,6 +154,7 @@ fn measure(iters: u32) -> Vec<Point> {
                 issued: ctr.issued,
                 busy_sms: counted.busy_sms,
                 sim_time_s: counted.time_s,
+                exec_steps: None,
             });
         }
         // One retained one-wave point (the main-loop region sweep of
@@ -117,7 +179,9 @@ fn measure(iters: u32) -> Vec<Point> {
             issued: ctr.issued,
             busy_sms: counted.busy_sms,
             sim_time_s: counted.time_s,
+            exec_steps: None,
         });
+        points.push(functional_point(&dev, iters));
     }
     points
 }
@@ -181,24 +245,36 @@ fn main() {
             );
             assert!(p.sim_time_s > 0.0, "non-positive simulated time");
         }
+        // A functional point has steps, not simulated cycles.
+        let (cycles, mcps) = match p.exec_steps {
+            None => (p.wave_cycles.to_string(), format!("{:.2}", cps / 1e6)),
+            Some(_) => ("-".to_string(), "-".to_string()),
+        };
         t.row(vec![
             p.device.to_string(),
             p.label.clone(),
             format!("{:.1}", p.wall_ms),
-            p.wave_cycles.to_string(),
+            cycles,
             p.issued.to_string(),
-            format!("{:.2}", cps / 1e6),
+            mcps,
             format!("{:.2}", ips / 1e6),
         ]);
-        let mut metrics: Vec<(&str, bench::json::Json)> = vec![
-            ("wall_ms", p.wall_ms.into()),
-            ("wave_cycles", p.wave_cycles.into()),
-            ("issued", p.issued.into()),
-            ("sim_cycles_per_sec", cps.into()),
-            ("sim_instr_per_sec", ips.into()),
-            ("sim_time_s", p.sim_time_s.into()),
-            ("busy_sms", p.busy_sms.into()),
-        ];
+        let mut metrics: Vec<(&str, bench::json::Json)> = match p.exec_steps {
+            None => vec![
+                ("wall_ms", p.wall_ms.into()),
+                ("wave_cycles", p.wave_cycles.into()),
+                ("issued", p.issued.into()),
+                ("sim_cycles_per_sec", cps.into()),
+                ("sim_instr_per_sec", ips.into()),
+                ("sim_time_s", p.sim_time_s.into()),
+                ("busy_sms", p.busy_sms.into()),
+            ],
+            Some(steps) => vec![
+                ("wall_ms", p.wall_ms.into()),
+                ("exec_steps", steps.into()),
+                ("exec_steps_per_sec", (steps as f64 / wall_s).into()),
+            ],
+        };
         if let Some(base) = &baseline {
             if let Some(b) = baseline_wall_ms(base, p.device, &p.label) {
                 let s = b / p.wall_ms;

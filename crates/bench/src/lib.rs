@@ -20,7 +20,7 @@ pub mod trace;
 use gpusim::{DeviceSpec, TimingOptions};
 use kernels::FusedConfig;
 use wino_core::resnet::{eval_grid, ResnetLayer};
-use wino_core::{AlgoTiming, Conv, ConvProblem};
+use wino_core::{AlgoTiming, Conv};
 
 use crate::simcache::CacheKey;
 use crate::sweep::Sweep;
@@ -39,11 +39,6 @@ pub fn label(layer: &ResnetLayer, n: usize) -> String {
 /// Conv bound to a device for a grid point.
 pub fn conv_for(layer: &ResnetLayer, n: usize, dev: &DeviceSpec) -> Conv {
     Conv::new(layer.problem(n), dev.clone())
-}
-
-/// A convolution problem for one grid point.
-pub fn problem_for(layer: &ResnetLayer, n: usize) -> ConvProblem {
-    layer.problem(n)
 }
 
 /// Evaluate [`Conv::time`] for every `(conv, algo)` point on the sweep

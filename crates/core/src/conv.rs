@@ -423,11 +423,6 @@ impl Conv {
         self.fused_config(Algo::OursFused)
     }
 
-    /// The cuDNN-like fused configuration for this problem.
-    pub fn cudnn_config(&self) -> FusedConfig {
-        self.fused_config(Algo::CudnnWinograd)
-    }
-
     // ---- GEMM-based paths ------------------------------------------------------
 
     fn gemm_dims(&self) -> (u32, u32, u32) {

@@ -1,28 +1,43 @@
-//! Decoded-instruction descriptor table for the timing hot loop.
+//! The micro-op table: one decoded form per PC, for functional execution
+//! and timing alike.
 //!
-//! [`crate::timing::time_kernel`] simulates every cycle of a wave; anything
-//! the per-cycle path computes by pattern-matching [`Op`] is paid millions
-//! of times per launch. This module folds all of it into one flat
-//! [`InstDesc`] per PC, built once per launch:
+//! Every consumer of an instruction stream — the functional launchers
+//! ([`crate::launch`]), the cycle-level wave loop ([`crate::timing`]), the
+//! full-device model ([`crate::device_sim`]) and the tuner's batch timer
+//! ([`crate::batch`]) — steps through the same flat [`MicroOp`] table, built
+//! once per launch by [`decode_module`]. Nothing downstream pattern-matches
+//! [`Op`], evaluates `@PT` or tests for `RZ` again. A micro-op carries:
 //!
-//! * pipe classification and FLOP count (the old `pipe_of` / `flops_of`);
-//! * control-code fields the scheduler consults every cycle (`wait_mask`,
-//!   stall count, yield/reuse flags, read/write barriers);
-//! * the source-operand list of `Op::src_regs()` as a fixed array (reuse
-//!   accounting, strict-writeback poison checks, reuse-cache latching);
-//! * register-bank parity **bitmasks** for the conflict test — the old
-//!   `reg_bank_conflict` built two `Vec`s per FP32 issue; the descriptor
-//!   knows statically whether a conflict is even possible (fewer than three
-//!   distinct same-parity sources can never conflict, since the reuse cache
-//!   only ever removes bank reads) and otherwise resolves it by clearing
-//!   mask bits for reuse-covered registers.
+//! * **what it does** ([`Exec`]): register operands resolved to rows of the
+//!   warp's register file — an `RZ` source names the file's zero row and an
+//!   `RZ` destination its sink row (see [`crate::exec::Warp`]), so no lane
+//!   loop tests for `RZ`; vector operands expanded to one row per register;
+//!   immediates, const-bank offsets, memory offsets and branch targets as
+//!   plain operands; the guard and predicate sources with `PT` folded to a
+//!   constant ([`PredRead`]);
+//! * **how the timing model sees it**: pipe class and FLOP count, the
+//!   control-code fields the scheduler consults every cycle (`wait_mask`,
+//!   stall count, yield/reuse flags, read/write barriers), the source
+//!   occurrences of `Op::src_regs()` as a fixed array (reuse accounting,
+//!   strict-writeback poison checks, reuse-cache latching) and the distinct
+//!   source registers with their per-bank counts for the conflict test — the
+//!   micro-op knows statically whether a conflict is even possible (fewer
+//!   than three distinct same-parity sources can never conflict, since the
+//!   reuse cache only ever removes bank reads) and otherwise resolves it by
+//!   discounting reuse-covered registers.
+//!
+//! The table is built per launch and per tuner candidate, so the micro-op
+//! is kept compact: narrow integer fields, no copy of the instruction.
 //!
 //! Everything here is observationally identical to the direct computation on
-//! [`Instruction`]; `gpusim/tests/hotloop_identity.rs` pins the end-to-end
-//! contract and the unit tests below pin the per-field equivalences.
+//! [`Instruction`]: `gpusim/tests/{exec,hotloop,device}_identity.rs` pin the
+//! end-to-end contract, the executor's differential test (`exec/oracle.rs`)
+//! pins execution against the per-lane interpreter it replaced, and the unit
+//! tests below pin the per-field equivalences.
 
-use sass::isa::{Instruction, MemSpace, Op};
-use sass::reg::Reg;
+use sass::isa::{CmpOp, Instruction, MemSpace, Op, PredGuard, PredSrc, SpecialReg, SrcB};
+use sass::reg::{Pred, Reg};
+use sass::Module;
 
 /// Classification for pipe assignment.
 #[derive(PartialEq, Eq, Clone, Copy, Debug)]
@@ -46,16 +61,216 @@ pub(crate) enum MemKind {
 /// a 64-bit base pair in slot 0 plus four data registers in slot 2).
 pub(crate) const MAX_SRCS: usize = 6;
 
-/// Flat per-PC descriptor: everything the timing loop needs about an
-/// instruction without touching [`Op`] again.
+/// Index of a row in a warp's register file (`Warp::regs`).
+pub(crate) type Row = u16;
+
+/// The flexible B operand with its register resolved to a row.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum SrcRow {
+    Row(Row),
+    Imm(u32),
+    /// Byte offset into constant bank 0.
+    Const(u16),
+}
+
+/// A predicate read — a guard or a predicate source operand — with `PT`
+/// folded to a constant: the value per lane is `preds[p][lane] != neg`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum PredRead {
+    Const(bool),
+    Lane { p: u8, neg: bool },
+}
+
+impl PredRead {
+    fn of(pred: Pred, neg: bool) -> PredRead {
+        if pred.is_pt() {
+            PredRead::Const(!neg)
+        } else {
+            PredRead::Lane { p: pred.0, neg }
+        }
+    }
+
+    fn guard(g: PredGuard) -> PredRead {
+        PredRead::of(g.pred, g.neg)
+    }
+
+    fn src(s: PredSrc) -> PredRead {
+        PredRead::of(s.pred, s.neg)
+    }
+}
+
+/// A load or store with its operands resolved.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct MemOp {
+    pub store: bool,
+    pub space: MemSpace,
+    /// 32-bit registers moved per lane: 1, 2 or 4.
+    pub nregs: u8,
+    /// Data rows, one per register moved: the destinations of a load, the
+    /// sources of a store.
+    pub data: [Row; 4],
+    /// Address rows `[lo, hi]`; shared accesses use `lo` only.
+    pub addr: [Row; 2],
+    /// Signed byte offset added to the base address.
+    pub offset: i32,
+}
+
+/// What executing an instruction does, with every operand resolved.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Exec {
+    Ffma {
+        d: Row,
+        a: Row,
+        b: SrcRow,
+        c: Row,
+        neg_b: bool,
+        neg_c: bool,
+    },
+    Fadd {
+        d: Row,
+        a: Row,
+        neg_a: bool,
+        b: SrcRow,
+        neg_b: bool,
+    },
+    Fmul {
+        d: Row,
+        a: Row,
+        b: SrcRow,
+        neg_b: bool,
+    },
+    Hfma2 {
+        d: Row,
+        a: Row,
+        b: SrcRow,
+        c: Row,
+    },
+    Hadd2 {
+        d: Row,
+        a: Row,
+        neg_a: bool,
+        b: SrcRow,
+        neg_b: bool,
+    },
+    Hmul2 {
+        d: Row,
+        a: Row,
+        b: SrcRow,
+    },
+    /// `p` is `None` for a `PT` destination (the result is discarded).
+    Fsetp {
+        p: Option<u8>,
+        cmp: CmpOp,
+        a: Row,
+        b: SrcRow,
+        combine: PredRead,
+    },
+    Iadd3 {
+        d: Row,
+        a: Row,
+        neg_a: bool,
+        b: SrcRow,
+        neg_b: bool,
+        c: Row,
+        neg_c: bool,
+    },
+    Imad {
+        d: Row,
+        a: Row,
+        b: SrcRow,
+        c: Row,
+    },
+    ImadHi {
+        d: Row,
+        a: Row,
+        b: SrcRow,
+        c: Row,
+    },
+    /// 64-bit result into `d[0]` (low word) then `d[1]` (high word); the
+    /// 64-bit addend is `(c[0], c[1])`.
+    ImadWide {
+        d: [Row; 2],
+        a: Row,
+        b: SrcRow,
+        c: [Row; 2],
+    },
+    Lea {
+        d: Row,
+        a: Row,
+        b: SrcRow,
+        shift: u8,
+    },
+    Lop3 {
+        d: Row,
+        a: Row,
+        b: SrcRow,
+        c: Row,
+        lut: u8,
+    },
+    Shf {
+        d: Row,
+        lo: Row,
+        shift: SrcRow,
+        hi: Row,
+        right: bool,
+        u32_mode: bool,
+    },
+    Mov {
+        d: Row,
+        b: SrcRow,
+    },
+    Sel {
+        d: Row,
+        a: Row,
+        b: SrcRow,
+        p: PredRead,
+    },
+    Isetp {
+        p: Option<u8>,
+        cmp: CmpOp,
+        unsigned: bool,
+        a: Row,
+        b: SrcRow,
+        combine: PredRead,
+    },
+    P2r {
+        d: Row,
+        a: Row,
+        mask: u32,
+    },
+    R2p {
+        a: Row,
+        mask: u32,
+    },
+    S2r {
+        d: Row,
+        sr: SpecialReg,
+    },
+    Mem(MemOp),
+    Bra {
+        target: u32,
+    },
+    Exit,
+    BarSync,
+    Nop,
+    /// An operand names a register outside the kernel's register file (a
+    /// module whose declared `num_regs` undercounts its code): executing it
+    /// is an error rather than an out-of-bounds panic.
+    BadReg(Reg),
+}
+
+/// Flat per-PC micro-op: everything execution and the timing loop need
+/// about an instruction without touching [`Op`] again.
 #[derive(Clone)]
-pub(crate) struct InstDesc {
+pub(crate) struct MicroOp {
+    pub exec: Exec,
+    pub guard: PredRead,
     pub pipe: PipeKind,
     pub mem: MemKind,
     /// FP32 FLOPs of the whole warp (per-lane FLOPs × 32).
-    pub flops_x32: u64,
+    pub flops_x32: u16,
     /// Issue-to-next-issue stall from the control code, floored at 1.
-    pub stall_cycles: u64,
+    pub stall_cycles: u8,
     pub yield_flag: bool,
     pub reuse: u8,
     pub wait_mask: u8,
@@ -71,14 +286,13 @@ pub(crate) struct InstDesc {
     nsrcs: u8,
     /// First source occurrence per operand slot — what `.reuse` latches.
     pub reuse_latch: [Option<Reg>; 4],
-    /// Distinct source registers by index parity, one bit per register pair
-    /// (`reg.0 >> 1`). Two 64-bit banks ⇒ three distinct same-parity reads
-    /// stall the FP32 pipe one extra cycle.
-    even_mask: u128,
-    odd_mask: u128,
     /// Distinct source registers with the slot-mask of where they appear.
     uniq: [(Reg, u8); MAX_SRCS],
     nuniq: u8,
+    /// Distinct source registers by index parity (the two 64-bit banks).
+    /// Three distinct same-parity reads stall the FP32 pipe one extra cycle.
+    even: u8,
+    odd: u8,
     /// Static screen: with fewer than three distinct sources in either bank
     /// the access can never conflict, whatever the reuse cache holds.
     maybe_conflict: bool,
@@ -113,7 +327,7 @@ fn pipe_of(op: &Op) -> PipeKind {
 }
 
 /// FP32 FLOPs per lane for an op.
-fn flops_of(op: &Op) -> u64 {
+fn flops_of(op: &Op) -> u16 {
     match op {
         Op::Ffma { .. } => 2,
         Op::Fadd { .. } | Op::Fmul { .. } => 1,
@@ -124,8 +338,271 @@ fn flops_of(op: &Op) -> u64 {
     }
 }
 
-impl InstDesc {
-    pub fn decode(inst: &Instruction, pc: u32, region: Option<(u32, u32)>) -> Self {
+fn strict_ld_of(inst: &Instruction) -> Option<(u8, u8)> {
+    match inst.op {
+        Op::Ld { d, width, .. } if !d.is_rz() && inst.ctrl.write_bar.is_some() => {
+            Some((d.0, width.regs()))
+        }
+        _ => None,
+    }
+}
+
+/// Rows of a register file of `num_regs` architectural registers: `RZ`
+/// reads the zero row and writes the sink row that follow them.
+struct Rows {
+    num_regs: u16,
+}
+
+impl Rows {
+    fn src(&self, r: Reg) -> Result<Row, Reg> {
+        match r {
+            r if r.is_rz() => Ok(self.num_regs),
+            r if (r.0 as u16) < self.num_regs => Ok(r.0 as Row),
+            r => Err(r),
+        }
+    }
+
+    fn dst(&self, r: Reg) -> Result<Row, Reg> {
+        match r {
+            r if r.is_rz() => Ok(self.num_regs + 1),
+            r => self.src(r),
+        }
+    }
+
+    fn b(&self, b: SrcB) -> Result<SrcRow, Reg> {
+        Ok(match b {
+            SrcB::Reg(r) => SrcRow::Row(self.src(r)?),
+            SrcB::Imm(v) => SrcRow::Imm(v),
+            SrcB::Const(off) => SrcRow::Const(off),
+        })
+    }
+
+    /// Address rows: a 64-bit pair for global memory, one register (the
+    /// `hi` slot repeats it, unused) for shared memory.
+    fn addr(&self, base: Reg, space: MemSpace) -> Result<[Row; 2], Reg> {
+        match space {
+            MemSpace::Global => self.vec(base, 2, false),
+            MemSpace::Shared => Ok([self.src(base)?; 2]),
+        }
+    }
+
+    /// `n` consecutive registers from `r` (saturating like `Reg::offset`).
+    fn vec<const N: usize>(&self, r: Reg, n: u8, dst: bool) -> Result<[Row; N], Reg> {
+        let mut rows = [0; N];
+        for (i, row) in rows.iter_mut().enumerate().take(n as usize) {
+            let ri = r.offset(i as u8);
+            *row = if dst { self.dst(ri)? } else { self.src(ri)? };
+        }
+        Ok(rows)
+    }
+}
+
+/// Resolve `op`'s operands against a file of `num_regs` registers.
+fn exec_of(op: &Op, num_regs: u16) -> Result<Exec, Reg> {
+    let r = Rows { num_regs };
+    let pred_dst = |p: Pred| (!p.is_pt()).then_some(p.0);
+    Ok(match *op {
+        Op::Ffma {
+            d,
+            a,
+            b,
+            c,
+            neg_b,
+            neg_c,
+        } => Exec::Ffma {
+            d: r.dst(d)?,
+            a: r.src(a)?,
+            b: r.b(b)?,
+            c: r.src(c)?,
+            neg_b,
+            neg_c,
+        },
+        Op::Fadd {
+            d,
+            a,
+            neg_a,
+            b,
+            neg_b,
+        } => Exec::Fadd {
+            d: r.dst(d)?,
+            a: r.src(a)?,
+            neg_a,
+            b: r.b(b)?,
+            neg_b,
+        },
+        Op::Fmul { d, a, b, neg_b } => Exec::Fmul {
+            d: r.dst(d)?,
+            a: r.src(a)?,
+            b: r.b(b)?,
+            neg_b,
+        },
+        Op::Hfma2 { d, a, b, c } => Exec::Hfma2 {
+            d: r.dst(d)?,
+            a: r.src(a)?,
+            b: r.b(b)?,
+            c: r.src(c)?,
+        },
+        Op::Hadd2 {
+            d,
+            a,
+            neg_a,
+            b,
+            neg_b,
+        } => Exec::Hadd2 {
+            d: r.dst(d)?,
+            a: r.src(a)?,
+            neg_a,
+            b: r.b(b)?,
+            neg_b,
+        },
+        Op::Hmul2 { d, a, b } => Exec::Hmul2 {
+            d: r.dst(d)?,
+            a: r.src(a)?,
+            b: r.b(b)?,
+        },
+        Op::Fsetp {
+            p,
+            cmp,
+            a,
+            b,
+            combine,
+        } => Exec::Fsetp {
+            p: pred_dst(p),
+            cmp,
+            a: r.src(a)?,
+            b: r.b(b)?,
+            combine: PredRead::src(combine),
+        },
+        Op::Iadd3 {
+            d,
+            a,
+            neg_a,
+            b,
+            neg_b,
+            c,
+            neg_c,
+        } => Exec::Iadd3 {
+            d: r.dst(d)?,
+            a: r.src(a)?,
+            neg_a,
+            b: r.b(b)?,
+            neg_b,
+            c: r.src(c)?,
+            neg_c,
+        },
+        Op::Imad { d, a, b, c } => Exec::Imad {
+            d: r.dst(d)?,
+            a: r.src(a)?,
+            b: r.b(b)?,
+            c: r.src(c)?,
+        },
+        Op::ImadHi { d, a, b, c } => Exec::ImadHi {
+            d: r.dst(d)?,
+            a: r.src(a)?,
+            b: r.b(b)?,
+            c: r.src(c)?,
+        },
+        Op::ImadWide { d, a, b, c } => Exec::ImadWide {
+            d: r.vec(d, 2, true)?,
+            a: r.src(a)?,
+            b: r.b(b)?,
+            c: r.vec(c, 2, false)?,
+        },
+        Op::Lea { d, a, b, shift } => Exec::Lea {
+            d: r.dst(d)?,
+            a: r.src(a)?,
+            b: r.b(b)?,
+            shift,
+        },
+        Op::Lop3 { d, a, b, c, lut } => Exec::Lop3 {
+            d: r.dst(d)?,
+            a: r.src(a)?,
+            b: r.b(b)?,
+            c: r.src(c)?,
+            lut,
+        },
+        Op::Shf {
+            d,
+            lo,
+            shift,
+            hi,
+            right,
+            u32_mode,
+        } => Exec::Shf {
+            d: r.dst(d)?,
+            lo: r.src(lo)?,
+            shift: r.b(shift)?,
+            hi: r.src(hi)?,
+            right,
+            u32_mode,
+        },
+        Op::Mov { d, b } => Exec::Mov {
+            d: r.dst(d)?,
+            b: r.b(b)?,
+        },
+        Op::Sel { d, a, b, p } => Exec::Sel {
+            d: r.dst(d)?,
+            a: r.src(a)?,
+            b: r.b(b)?,
+            p: PredRead::src(p),
+        },
+        Op::Isetp {
+            p,
+            cmp,
+            u32,
+            a,
+            b,
+            combine,
+        } => Exec::Isetp {
+            p: pred_dst(p),
+            cmp,
+            unsigned: u32,
+            a: r.src(a)?,
+            b: r.b(b)?,
+            combine: PredRead::src(combine),
+        },
+        Op::P2r { d, a, mask } => Exec::P2r {
+            d: r.dst(d)?,
+            a: r.src(a)?,
+            mask,
+        },
+        Op::R2p { a, mask } => Exec::R2p { a: r.src(a)?, mask },
+        Op::S2r { d, sr } => Exec::S2r { d: r.dst(d)?, sr },
+        Op::Ld {
+            space,
+            width,
+            d,
+            addr,
+        } => Exec::Mem(MemOp {
+            store: false,
+            space,
+            nregs: width.regs(),
+            data: r.vec(d, width.regs(), true)?,
+            addr: r.addr(addr.base, space)?,
+            offset: addr.offset,
+        }),
+        Op::St {
+            space,
+            width,
+            addr,
+            src,
+        } => Exec::Mem(MemOp {
+            store: true,
+            space,
+            nregs: width.regs(),
+            data: r.vec(src, width.regs(), false)?,
+            addr: r.addr(addr.base, space)?,
+            offset: addr.offset,
+        }),
+        Op::Bra { target } => Exec::Bra { target },
+        Op::Exit => Exec::Exit,
+        Op::BarSync => Exec::BarSync,
+        Op::Nop => Exec::Nop,
+    })
+}
+
+impl MicroOp {
+    pub fn decode(inst: &Instruction, pc: u32, region: Option<(u32, u32)>, num_regs: u16) -> Self {
         let op = &inst.op;
         let occurrences = op.src_regs();
         assert!(
@@ -137,7 +614,7 @@ impl InstDesc {
         let mut reuse_latch = [None; 4];
         let mut uniq: [(Reg, u8); MAX_SRCS] = [(Reg(0), 0); MAX_SRCS];
         let mut nuniq = 0usize;
-        let (mut even_mask, mut odd_mask) = (0u128, 0u128);
+        let (mut even, mut odd) = (0u8, 0u8);
         for (i, &(slot, r)) in occurrences.iter().enumerate() {
             srcs[i] = (slot, r);
             let latch = &mut reuse_latch[slot as usize];
@@ -149,21 +626,14 @@ impl InstDesc {
                 None => {
                     uniq[nuniq] = (r, 1 << slot);
                     nuniq += 1;
-                    let bit = 1u128 << (r.0 >> 1);
                     if r.0 & 1 == 0 {
-                        even_mask |= bit;
+                        even += 1;
                     } else {
-                        odd_mask |= bit;
+                        odd += 1;
                     }
                 }
             }
         }
-        let strict_ld = match *op {
-            Op::Ld { d, width, .. } if !d.is_rz() && inst.ctrl.write_bar.is_some() => {
-                Some((d.0, width.regs()))
-            }
-            _ => None,
-        };
         let mem = match op {
             Op::Ld { space, .. } | Op::St { space, .. } => match space {
                 MemSpace::Shared => MemKind::Shared,
@@ -171,26 +641,28 @@ impl InstDesc {
             },
             _ => MemKind::NotMem,
         };
-        InstDesc {
+        MicroOp {
+            exec: exec_of(op, num_regs).unwrap_or_else(Exec::BadReg),
+            guard: PredRead::guard(inst.guard),
             pipe: pipe_of(op),
             mem,
             flops_x32: flops_of(op) * 32,
-            stall_cycles: inst.ctrl.stall.max(1) as u64,
+            stall_cycles: inst.ctrl.stall.max(1),
             yield_flag: inst.ctrl.yield_flag,
             reuse: inst.ctrl.reuse,
             wait_mask: inst.ctrl.wait_mask,
             write_bar: inst.ctrl.write_bar,
             read_bar: inst.ctrl.read_bar,
             in_region: region.is_none_or(|(a, b)| pc >= a && pc < b),
-            strict_ld,
+            strict_ld: strict_ld_of(inst),
             srcs,
             nsrcs: occurrences.len() as u8,
             reuse_latch,
-            even_mask,
-            odd_mask,
             uniq,
             nuniq: nuniq as u8,
-            maybe_conflict: even_mask.count_ones() >= 3 || odd_mask.count_ones() >= 3,
+            even,
+            odd,
+            maybe_conflict: even >= 3 || odd >= 3,
         }
     }
 
@@ -204,24 +676,19 @@ impl InstDesc {
     /// the operand analysis. This is the batch-evaluation fast path
     /// ([`crate::batch::BatchTimer`]): a schedule-tuner candidate differs
     /// from its baseline only in control codes and instruction order, so the
-    /// expensive op-derived fields (pipe, FLOPs, source lists, bank masks)
-    /// can be cloned from the baseline descriptor of the *same* instruction
-    /// and only this part recomputed. `inst.op` must match the op this
-    /// descriptor was decoded from.
+    /// op-derived fields (execution operands, pipe, FLOPs, source lists, bank
+    /// counts) can be cloned from the baseline micro-op of the *same*
+    /// instruction and only this part recomputed. `inst.op` and `inst.guard`
+    /// must match the instruction this micro-op was decoded from.
     pub fn repatch_ctrl(&mut self, inst: &Instruction, pc: u32, region: Option<(u32, u32)>) {
-        self.stall_cycles = inst.ctrl.stall.max(1) as u64;
+        self.stall_cycles = inst.ctrl.stall.max(1);
         self.yield_flag = inst.ctrl.yield_flag;
         self.reuse = inst.ctrl.reuse;
         self.wait_mask = inst.ctrl.wait_mask;
         self.write_bar = inst.ctrl.write_bar;
         self.read_bar = inst.ctrl.read_bar;
         self.in_region = region.is_none_or(|(a, b)| pc >= a && pc < b);
-        self.strict_ld = match inst.op {
-            Op::Ld { d, width, .. } if !d.is_rz() && inst.ctrl.write_bar.is_some() => {
-                Some((d.0, width.regs()))
-            }
-            _ => None,
-        };
+        self.strict_ld = strict_ld_of(inst);
     }
 
     /// Extra FP32-pipe cycle from a register-bank conflict, given the warp's
@@ -237,7 +704,7 @@ impl InstDesc {
         if !self.maybe_conflict {
             return false;
         }
-        let (mut even, mut odd) = (self.even_mask, self.odd_mask);
+        let (mut even, mut odd) = (self.even, self.odd);
         for &(r, slots) in &self.uniq[..self.nuniq as usize] {
             let mut banked = false;
             for sl in 0..4u8 {
@@ -247,24 +714,39 @@ impl InstDesc {
                 }
             }
             if !banked {
-                let bit = 1u128 << (r.0 >> 1);
                 if r.0 & 1 == 0 {
-                    even &= !bit;
+                    even -= 1;
                 } else {
-                    odd &= !bit;
+                    odd -= 1;
                 }
             }
         }
-        even.count_ones() >= 3 || odd.count_ones() >= 3
+        even >= 3 || odd >= 3
     }
 }
 
-/// Build the descriptor table for a launch: one entry per PC.
-pub(crate) fn decode_module(insts: &[Instruction], region: Option<(u32, u32)>) -> Vec<InstDesc> {
+/// Architectural registers per thread of `module`'s warps (at least one, so
+/// every file has a row to name).
+pub(crate) fn num_regs_of(module: &Module) -> u16 {
+    module.info.num_regs.max(1)
+}
+
+/// Build the micro-op table for a launch of `module`: one entry per PC,
+/// with register rows resolved for warps of [`num_regs_of`] registers.
+pub(crate) fn decode_module(module: &Module, region: Option<(u32, u32)>) -> Vec<MicroOp> {
+    decode_insts(&module.insts, region, num_regs_of(module))
+}
+
+/// [`decode_module`] for a bare instruction stream and register-file size.
+pub(crate) fn decode_insts(
+    insts: &[Instruction],
+    region: Option<(u32, u32)>,
+    num_regs: u16,
+) -> Vec<MicroOp> {
     insts
         .iter()
         .enumerate()
-        .map(|(pc, inst)| InstDesc::decode(inst, pc as u32, region))
+        .map(|(pc, inst)| MicroOp::decode(inst, pc as u32, region, num_regs))
         .collect()
 }
 
@@ -318,10 +800,10 @@ mod tests {
     #[test]
     fn descriptor_matches_direct_computation() {
         let m = sample_module();
-        let table = decode_module(&m.insts, Some((3, 7)));
+        let table = decode_module(&m, Some((3, 7)));
         for (pc, (inst, d)) in m.insts.iter().zip(&table).enumerate() {
             assert_eq!(d.flops_x32, flops_of(&inst.op) * 32, "pc {pc}");
-            assert_eq!(d.stall_cycles, inst.ctrl.stall.max(1) as u64, "pc {pc}");
+            assert_eq!(d.stall_cycles, inst.ctrl.stall.max(1), "pc {pc}");
             assert_eq!(d.yield_flag, inst.ctrl.yield_flag, "pc {pc}");
             assert_eq!(d.wait_mask, inst.ctrl.wait_mask, "pc {pc}");
             assert_eq!(d.write_bar, inst.ctrl.write_bar, "pc {pc}");
@@ -353,7 +835,7 @@ mod tests {
     #[test]
     fn bank_conflict_matches_reference_for_all_reuse_states() {
         let m = sample_module();
-        let table = decode_module(&m.insts, None);
+        let table = decode_module(&m, None);
         // Enumerate reuse-cache states over the registers each instruction
         // actually names (plus None and an unrelated register).
         for (pc, (inst, d)) in m.insts.iter().zip(&table).enumerate() {
@@ -382,12 +864,99 @@ mod tests {
             ".kernel t\n--:-:-:Y:1 FFMA R8, R2, R4, R6;\n--:-:-:Y:1 FADD R8, R2, R4;\nEXIT;\n",
         )
         .unwrap();
-        let t = decode_module(&m.insts, None);
+        let t = decode_module(&m, None);
         assert!(t[0].maybe_conflict);
         assert!(t[0].bank_conflict(&[None; 4]));
         // Covering one even source by reuse removes the conflict.
         assert!(!t[0].bank_conflict(&[Some(Reg(2)), None, None, None]));
         assert!(!t[1].maybe_conflict);
         assert!(!t[1].bank_conflict(&[None; 4]));
+    }
+
+    /// The table is built per launch and per tuner candidate (thousands of
+    /// PCs for the fused kernel), so a micro-op must stay no larger than the
+    /// timing-only descriptor it replaced.
+    #[test]
+    fn micro_op_stays_compact() {
+        let size = std::mem::size_of::<MicroOp>();
+        assert!(size <= 96, "MicroOp is {size} bytes");
+    }
+
+    /// Operands resolve to rows: `RZ` reads the zero row and writes the sink
+    /// row, vector operands expand (saturating at R254 like `Reg::offset`),
+    /// `PT` folds to a constant and an out-of-file register is flagged.
+    #[test]
+    fn operands_resolve_to_rows() {
+        let m = assemble(
+            r#"
+.kernel rows
+    --:-:-:Y:1  FFMA RZ, R2, RZ, R3;
+    --:-:-:Y:1  @!P2 LDS.128 R4, [RZ+0x10];
+    --:-:-:Y:1  @!PT IMAD.WIDE.U32 R6, R1, 0x4, RZ;
+    --:-:-:Y:1  ISETP.LT.AND PT, PT, R1, 0x3, !P1;
+    --:-:-:Y:1  EXIT;
+"#,
+        )
+        .unwrap();
+        let n = 8u16;
+        let t = decode_insts(&m.insts, None, n);
+        let (zero, sink) = (n, n + 1);
+        assert_eq!(
+            t[0].exec,
+            Exec::Ffma {
+                d: sink,
+                a: 2,
+                b: SrcRow::Row(zero),
+                c: 3,
+                neg_b: false,
+                neg_c: false
+            }
+        );
+        assert_eq!(t[0].guard, PredRead::Const(true));
+        assert_eq!(
+            t[1].exec,
+            Exec::Mem(MemOp {
+                store: false,
+                space: MemSpace::Shared,
+                nregs: 4,
+                data: [4, 5, 6, 7],
+                addr: [zero, zero],
+                offset: 0x10
+            })
+        );
+        assert_eq!(t[1].guard, PredRead::Lane { p: 2, neg: true });
+        assert_eq!(t[2].guard, PredRead::Const(false));
+        assert_eq!(
+            t[2].exec,
+            Exec::ImadWide {
+                d: [6, 7],
+                a: 1,
+                b: SrcRow::Imm(4),
+                c: [zero, zero]
+            }
+        );
+        assert!(matches!(
+            t[3].exec,
+            Exec::Isetp {
+                p: None,
+                combine: PredRead::Lane { p: 1, neg: true },
+                ..
+            }
+        ));
+        // A 7-register file cannot hold R7 of the LDS.128.
+        let t = decode_insts(&m.insts, None, 7);
+        assert_eq!(t[1].exec, Exec::BadReg(Reg(7)));
+        // Saturation: a 128-bit load at R253 writes R253, R254, R254, R254.
+        let ld = Instruction::new(sass::isa::build::lds(
+            sass::isa::MemWidth::B128,
+            Reg(253),
+            Reg(0),
+            0,
+        ));
+        let t = decode_insts(&[ld], None, 255);
+        match t[0].exec {
+            Exec::Mem(m) => assert_eq!(m.data, [253, 254, 254, 254]),
+            other => panic!("{other:?}"),
+        }
     }
 }

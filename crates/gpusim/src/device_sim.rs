@@ -1,4 +1,4 @@
-//! Full-device, multi-wave, event-driven timing model.
+//! Full-device, multi-wave timing model.
 //!
 //! The one-wave path ([`crate::timing::time_kernel`]) times one steady-state
 //! wave on one SM and extrapolates `waves = ceil(total / (resident × S))`.
@@ -11,7 +11,7 @@
 //!   SM — static round-robin, block `b` on SM `b mod S`, like hardware's
 //!   initial distribution of an even grid;
 //! * each SM consumes its blocks in waves of at most `resident` blocks and
-//!   runs the existing decoded-table/cycle-skipping wave loop
+//!   runs the existing micro-op-table/cycle-skipping wave loop
 //!   (`crate::timing::simulate_wave`) per wave, with the SM's L1/L2 image
 //!   and memory-backend backlog carried from wave to wave;
 //! * the L2/DRAM **bandwidth share** charged inside a wave is
@@ -67,7 +67,7 @@
 //!   [`Gpu::launch`] / [`Gpu::launch_parallel`] for functional results.
 
 use crate::counters::HwCounters;
-use crate::decode::{decode_module, InstDesc};
+use crate::decode::{decode_module, MicroOp};
 use crate::device::DeviceSpec;
 use crate::launch::{Gpu, LaunchDims, LaunchError, SharedMem};
 use crate::memory::{ConstBank, GlobalMemory};
@@ -160,7 +160,7 @@ pub struct DeviceTrace {
 struct Ctx<'a> {
     device: &'a DeviceSpec,
     module: &'a Module,
-    table: &'a [InstDesc],
+    table: &'a [MicroOp],
     dims: LaunchDims,
     cbank: &'a ConstBank,
     base: TimingOptions,
@@ -425,8 +425,8 @@ pub fn time_kernel_device(
     params: &[u8],
     opts: DeviceOptions,
 ) -> Result<KernelTiming, LaunchError> {
-    let table: Vec<InstDesc> = decode_module(&module.insts, opts.base.region);
-    time_kernel_device_with_table(gpu, module, dims, params, opts, &table)
+    let table = decode_module(module, opts.base.region);
+    run_device(gpu, module, dims, params, opts, &table).map(|(t, _)| t)
 }
 
 /// [`time_kernel_device`] that also records the device timeline: per-SM
@@ -446,22 +446,9 @@ pub fn time_kernel_device_traced(
         trace: true,
         ..opts
     };
-    let table: Vec<InstDesc> = decode_module(&module.insts, opts.base.region);
+    let table = decode_module(module, opts.base.region);
     let (timing, trace) = run_device(gpu, module, dims, params, opts, &table)?;
     Ok((timing, trace.expect("trace requested")))
-}
-
-/// [`time_kernel_device`] with a caller-supplied descriptor table (the same
-/// sharing contract as `timing::time_kernel_with_table`).
-pub(crate) fn time_kernel_device_with_table(
-    gpu: &mut Gpu,
-    module: &Module,
-    dims: LaunchDims,
-    params: &[u8],
-    opts: DeviceOptions,
-    table: &[InstDesc],
-) -> Result<KernelTiming, LaunchError> {
-    run_device(gpu, module, dims, params, opts, table).map(|(t, _)| t)
 }
 
 /// Shared body of the device-timing entry points; returns the trace record
@@ -472,7 +459,7 @@ fn run_device(
     dims: LaunchDims,
     params: &[u8],
     opts: DeviceOptions,
-    table: &[InstDesc],
+    table: &[MicroOp],
 ) -> Result<(KernelTiming, Option<DeviceTrace>), LaunchError> {
     debug_assert_eq!(table.len(), module.insts.len());
     let device = gpu.device.clone();

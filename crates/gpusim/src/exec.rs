@@ -1,23 +1,47 @@
-//! Functional (architectural) execution of warps.
+//! Functional (architectural) execution of warps over the micro-op table.
 //!
-//! This module gives every ISA instruction its semantics. It is used both by
-//! the functional grid launcher (correctness runs) and by the cycle-level SM
-//! model in [`crate::timing`], which executes instructions functionally at
-//! issue time so that memory addresses — and therefore bank conflicts and
-//! cache behaviour — are exact rather than statistical.
+//! `step_into` executes the next instruction of one warp from the decoded
+//! `MicroOp` table of `crate::decode`. It is the one executor behind the
+//! functional launchers ([`crate::launch`]) and the cycle-level SM model in
+//! [`crate::timing`], which executes every issued instruction functionally so
+//! that memory addresses — and therefore bank conflicts and cache behaviour —
+//! are exact rather than statistical.
+//!
+//! Execution works on whole 32-lane register rows. A data instruction
+//! computes its result row lane by lane straight from the source rows (no
+//! per-lane operand decoding: `RZ` is the file's zero row, immediates and
+//! constants are splats) and writes it back under the execution mask — the
+//! whole row when every lane executes, the executing lanes otherwise. Every
+//! lane reads only its own lane of each source, so a destination that
+//! aliases a source is safe. A memory instruction resolves all lane
+//! addresses into a fixed array, bounds-checks the executing lanes in lane
+//! order and then moves fixed-width words per lane; a fault names the first
+//! bad lane, and the lanes before it still take effect, exactly as a
+//! lane-by-lane interpreter behaves.
 //!
 //! Divergence is handled SIMT-style with a set of `(mask, pc)` execution
 //! contexts per warp; the context with the smallest PC runs next, and
 //! contexts at equal PCs merge (a simple reconvergence rule that is exact
 //! for the structured control flow our kernels use).
+//!
+//! The per-lane `Op` interpreter this executor replaced survives only as the
+//! test oracle of `exec/oracle.rs`, whose differential test runs both on
+//! seeded random instruction streams and requires identical warp state,
+//! memory traces and errors.
 
-use sass::isa::*;
-use sass::reg::{Pred, Reg};
+use sass::isa::{Instruction, MemSpace, SpecialReg};
 
+use crate::decode::{decode_insts, Exec, MemOp, MicroOp, PredRead, Row, SrcRow};
 use crate::memory::{ConstBank, GlobalMemory, MemError};
+
+#[cfg(test)]
+mod oracle;
 
 /// Maximum lanes per warp.
 pub const WARP_SIZE: u32 = 32;
+
+/// One register (or any 32-bit quantity) across the lanes of a warp.
+type Lanes = [u32; WARP_SIZE as usize];
 
 /// One divergence context.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,8 +55,11 @@ pub struct WarpCtx {
 /// Architectural state of one warp.
 #[derive(Clone, Debug)]
 pub struct Warp {
-    /// Register file: `regs[r][lane]`.
-    pub regs: Vec<[u32; WARP_SIZE as usize]>,
+    /// Register file: `regs[r][lane]` for the `num_regs` architectural
+    /// registers, followed by the two rows the decoder points `RZ` at: the
+    /// zero row (read by `RZ` sources, never written) and the sink row
+    /// (written by `RZ` destinations, never read).
+    pub regs: Vec<Lanes>,
     /// Predicate file: `preds[p][lane]`, p in 0..7.
     pub preds: [[bool; WARP_SIZE as usize]; 7],
     /// Divergence contexts (invariant: non-empty unless exited; disjoint
@@ -54,7 +81,7 @@ impl Warp {
             (1u32 << lanes) - 1
         };
         Warp {
-            regs: vec![[0u32; 32]; num_regs as usize],
+            regs: vec![[0u32; 32]; num_regs as usize + 2],
             preds: [[false; 32]; 7],
             ctxs: vec![WarpCtx { mask, pc: 0 }],
             base_tid,
@@ -62,36 +89,9 @@ impl Warp {
         }
     }
 
-    #[inline]
-    fn read_reg(&self, r: Reg, lane: usize) -> u32 {
-        if r.is_rz() {
-            0
-        } else {
-            self.regs[r.0 as usize][lane]
-        }
-    }
-
-    #[inline]
-    fn write_reg(&mut self, r: Reg, lane: usize, v: u32) {
-        if !r.is_rz() {
-            self.regs[r.0 as usize][lane] = v;
-        }
-    }
-
-    #[inline]
-    fn read_pred(&self, p: Pred, lane: usize) -> bool {
-        if p.is_pt() {
-            true
-        } else {
-            self.preds[p.0 as usize][lane]
-        }
-    }
-
-    #[inline]
-    fn write_pred(&mut self, p: Pred, lane: usize, v: bool) {
-        if !p.is_pt() {
-            self.preds[p.0 as usize][lane] = v;
-        }
+    /// Architectural registers per lane (the file without its `RZ` rows).
+    pub(crate) fn num_regs(&self) -> u16 {
+        (self.regs.len() - 2) as u16
     }
 
     /// The context that executes next (lowest PC), if any.
@@ -149,7 +149,7 @@ impl std::error::Error for ExecError {}
 
 /// Side-channel describing the memory behaviour of an executed instruction,
 /// consumed by the timing model. Empty for non-memory instructions.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MemTrace {
     /// Byte addresses touched, one per active lane (global space).
     pub global_addrs: Vec<u64>,
@@ -175,31 +175,336 @@ impl MemTrace {
     }
 }
 
+/// Execute one instruction of `insts` for `warp` and return the event and
+/// (for memory instructions) the per-lane address trace. A single-stepping
+/// convenience: it decodes `insts` on every call, so loops decode once
+/// (`crate::decode`) and step the table with `step_into`.
+pub fn step(
+    warp: &mut Warp,
+    insts: &[Instruction],
+    env: &mut ExecEnv<'_>,
+    warp_idx: u32,
+) -> Result<(StepEvent, MemTrace), ExecError> {
+    let table = decode_insts(insts, None, warp.num_regs());
+    let mut trace = MemTrace::default();
+    let event = step_into(warp, &table, insts, env, warp_idx, &mut trace).map_err(|e| *e)?;
+    Ok((event, trace))
+}
+
+/// Execute the next micro-op of `warp` from `table`, writing the address
+/// trace into a caller-owned buffer (reset first), so loops that step
+/// millions of warp-instructions reuse one allocation. `table` must be
+/// decoded for the warp's register-file size from `insts`, which is read
+/// only to render an error. The error is boxed to keep the `Result` small
+/// on the hot path.
+pub(crate) fn step_into(
+    warp: &mut Warp,
+    table: &[MicroOp],
+    insts: &[Instruction],
+    env: &mut ExecEnv<'_>,
+    warp_idx: u32,
+    trace: &mut MemTrace,
+) -> Result<StepEvent, Box<ExecError>> {
+    trace.reset();
+    let ctx = match warp.current_ctx() {
+        Some(c) => c,
+        None => {
+            warp.exited = true;
+            return Ok(StepEvent::Exited);
+        }
+    };
+    let pc = ctx.pc;
+    let Some(op) = table.get(pc as usize) else {
+        return Err(Box::new(ExecError {
+            ctaid: env.ctaid,
+            warp: warp_idx,
+            pc,
+            inst: "<end of code>".into(),
+            msg: "fell off the end of the instruction stream (missing EXIT?)".into(),
+        }));
+    };
+    let ctaid = env.ctaid;
+    let fail = |msg: String| {
+        Box::new(ExecError {
+            ctaid,
+            warp: warp_idx,
+            pc,
+            inst: sass::disasm::inst_text(&insts[pc as usize]),
+            msg,
+        })
+    };
+
+    let exec_mask = ctx.mask & pred_mask(&warp.preds, op.guard);
+    match op.exec {
+        // Control flow rewrites the contexts.
+        Exec::Exit => {
+            // Exit the executing lanes; the rest continue at pc+1.
+            remove_ctx(warp, pc);
+            if ctx.mask & !exec_mask != 0 {
+                push_ctx(
+                    warp,
+                    WarpCtx {
+                        mask: ctx.mask & !exec_mask,
+                        pc: pc + 1,
+                    },
+                );
+            }
+            if warp.ctxs.is_empty() {
+                warp.exited = true;
+                return Ok(StepEvent::Exited);
+            }
+            return Ok(StepEvent::Executed);
+        }
+        Exec::Bra { target } => {
+            remove_ctx(warp, pc);
+            if exec_mask != 0 {
+                push_ctx(
+                    warp,
+                    WarpCtx {
+                        mask: exec_mask,
+                        pc: target,
+                    },
+                );
+            }
+            if ctx.mask & !exec_mask != 0 {
+                push_ctx(
+                    warp,
+                    WarpCtx {
+                        mask: ctx.mask & !exec_mask,
+                        pc: pc + 1,
+                    },
+                );
+            }
+            return Ok(StepEvent::Executed);
+        }
+        Exec::BarSync => {
+            if warp.ctxs.len() > 1 {
+                return Err(fail(
+                    "BAR.SYNC in divergent control flow is not supported".into(),
+                ));
+            }
+            advance_ctx(warp, pc);
+            return Ok(StepEvent::Barrier);
+        }
+        Exec::BadReg(r) => {
+            return Err(fail(format!(
+                "{r} is outside the kernel's {}-register file",
+                warp.num_regs()
+            )));
+        }
+        Exec::Mem(m) => {
+            trace.exec_mask = exec_mask;
+            mem_op(&mut warp.regs, &m, env, exec_mask, trace).map_err(fail)?;
+        }
+        ref data => {
+            trace.exec_mask = exec_mask;
+            alu(warp, data, env, exec_mask);
+        }
+    }
+    advance_ctx(warp, pc);
+    Ok(StepEvent::Executed)
+}
+
+/// Per-lane value of a predicate read as a lane mask.
 #[inline]
+fn pred_mask(preds: &[[bool; WARP_SIZE as usize]; 7], p: PredRead) -> u32 {
+    match p {
+        PredRead::Const(true) => u32::MAX,
+        PredRead::Const(false) => 0,
+        PredRead::Lane { p, neg } => {
+            let mut m = 0u32;
+            for (lane, &v) in preds[p as usize].iter().enumerate() {
+                m |= (v as u32) << lane;
+            }
+            if neg {
+                !m
+            } else {
+                m
+            }
+        }
+    }
+}
+
+/// Lanes set in `mask`, ascending.
+#[inline]
+fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
+/// A B operand ready for row execution: a register row or a splat.
+#[derive(Clone, Copy)]
+enum Src {
+    Row(Row),
+    Splat(u32),
+}
+
+impl Src {
+    #[inline]
+    fn of(b: SrcRow, cbank: &ConstBank) -> Src {
+        match b {
+            SrcRow::Row(r) => Src::Row(r),
+            SrcRow::Imm(v) => Src::Splat(v),
+            SrcRow::Const(off) => Src::Splat(cbank.read_u32(off)),
+        }
+    }
+}
+
+/// Write the executing lanes of `out` into `row`.
+#[inline(always)]
+fn write_row(row: &mut Lanes, out: &Lanes, mask: u32) {
+    if mask == u32::MAX {
+        *row = *out;
+    } else {
+        for lane in lanes(mask) {
+            row[lane] = out[lane];
+        }
+    }
+}
+
+/// The row kernel of every three-operand data op: `d[l] = f(l, a[l], b[l],
+/// c[l])` for the lanes in `mask`. The result row is computed from the
+/// source rows where they lie, then written back under the mask; every lane
+/// reads only its own lane of the sources, so any of them may alias `d`.
+/// Unused operands may name any row.
+#[inline(always)]
+fn rows3(
+    regs: &mut [Lanes],
+    mask: u32,
+    d: Row,
+    a: Row,
+    b: Src,
+    c: Row,
+    f: impl Fn(usize, u32, u32, u32) -> u32,
+) {
+    let mut out: Lanes = [0; 32];
+    {
+        let splat;
+        let rb = match b {
+            Src::Row(r) => &regs[r as usize],
+            Src::Splat(v) => {
+                splat = [v; 32];
+                &splat
+            }
+        };
+        let (ra, rc) = (&regs[a as usize], &regs[c as usize]);
+        for (l, o) in out.iter_mut().enumerate() {
+            *o = f(l, ra[l], rb[l], rc[l]);
+        }
+    }
+    write_row(&mut regs[d as usize], &out, mask);
+}
+
+/// `a OP b` over the lanes as a lane mask (the comparison half of the
+/// `SETP` ops).
+#[inline(always)]
+fn cmp_rows(regs: &[Lanes], a: Row, b: Src, f: impl Fn(u32, u32) -> bool) -> u32 {
+    let ra = &regs[a as usize];
+    let mut m = 0u32;
+    for lane in 0..32 {
+        let vb = match b {
+            Src::Row(r) => regs[r as usize][lane],
+            Src::Splat(v) => v,
+        };
+        m |= (f(ra[lane], vb) as u32) << lane;
+    }
+    m
+}
+
+/// `FFMA` rows: `d = a * (b ^ nb) + (c ^ nc)` with fused rounding, where
+/// `nb`/`nc` are sign-flip masks.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn ffma_rows(regs: &mut [Lanes], mask: u32, d: Row, a: Row, b: Src, c: Row, nb: u32, nc: u32) {
+    rows3(regs, mask, d, a, b, c, |_, x, y, z| {
+        f(x).mul_add(f(y ^ nb), f(z ^ nc)).to_bits()
+    })
+}
+
+/// `HFMA2` rows: paired fp16 FMA computed in f32, each half rounded to f16
+/// (the hardware's fp16 accumulate behaviour, §8.3).
+#[inline(always)]
+fn hfma2_rows(regs: &mut [Lanes], mask: u32, d: Row, a: Row, b: Src, c: Row) {
+    use sass::half::{pack_half2, unpack_half2};
+    rows3(regs, mask, d, a, b, c, |_, x, y, z| {
+        let ((a0, a1), (b0, b1), (c0, c1)) = (unpack_half2(x), unpack_half2(y), unpack_half2(z));
+        pack_half2(a0.mul_add(b0, c0), a1.mul_add(b1, c1))
+    })
+}
+
+/// The fused multiply-add ops, compiled with the FMA target feature when
+/// the host has it, so `f32::mul_add` becomes `vfmadd` instead of a libm
+/// call per lane. Both are IEEE correctly rounded: the bits are identical.
+#[derive(Clone, Copy)]
+enum Fused {
+    Ffma { nb: u32, nc: u32 },
+    Hfma2,
+}
+
+#[inline(always)]
+fn fused_rows(regs: &mut [Lanes], mask: u32, op: Fused, d: Row, a: Row, b: Src, c: Row) {
+    match op {
+        Fused::Ffma { nb, nc } => ffma_rows(regs, mask, d, a, b, c, nb, nc),
+        Fused::Hfma2 => hfma2_rows(regs, mask, d, a, b, c),
+    }
+}
+
+fn fused(regs: &mut [Lanes], mask: u32, op: Fused, d: Row, a: Row, b: Src, c: Row) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        /// # Safety
+        /// The host must support the FMA instructions.
+        #[target_feature(enable = "fma")]
+        unsafe fn fused_fma(
+            regs: &mut [Lanes],
+            mask: u32,
+            op: Fused,
+            d: Row,
+            a: Row,
+            b: Src,
+            c: Row,
+        ) {
+            fused_rows(regs, mask, op, d, a, b, c)
+        }
+        if std::arch::is_x86_feature_detected!("fma") {
+            // SAFETY: the FMA feature was just detected at runtime.
+            return unsafe { fused_fma(regs, mask, op, d, a, b, c) };
+        }
+    }
+    fused_rows(regs, mask, op, d, a, b, c)
+}
+
+#[inline(always)]
 fn f(bits: u32) -> f32 {
     f32::from_bits(bits)
 }
 
-#[inline]
-fn neg_f(bits: u32, neg: bool) -> u32 {
+/// Sign-flip mask of an fp32 operand negation.
+#[inline(always)]
+fn sign(neg: bool) -> u32 {
     if neg {
-        bits ^ 0x8000_0000
+        0x8000_0000
     } else {
-        bits
+        0
     }
 }
 
-/// Negate both halves of a half2 word.
-#[inline]
-fn neg_f2(bits: u32, neg: bool) -> u32 {
+/// Sign-flip mask negating both halves of a half2 word.
+#[inline(always)]
+fn sign2(neg: bool) -> u32 {
     if neg {
-        bits ^ 0x8000_8000
+        0x8000_8000
     } else {
-        bits
+        0
     }
 }
 
-#[inline]
+#[inline(always)]
 fn neg_i(v: u32, neg: bool) -> u32 {
     if neg {
         v.wrapping_neg()
@@ -237,176 +542,13 @@ fn lop3(a: u32, b: u32, c: u32, lut: u8) -> u32 {
     r
 }
 
-/// Execute one instruction step for `warp`. On success, returns the event
-/// and (for memory instructions) the per-lane address trace.
-pub fn step(
-    warp: &mut Warp,
-    insts: &[Instruction],
-    env: &mut ExecEnv<'_>,
-    warp_idx: u32,
-) -> Result<(StepEvent, MemTrace), ExecError> {
-    let mut trace = MemTrace::default();
-    let event = step_into(warp, insts, env, warp_idx, &mut trace).map_err(|e| *e)?;
-    Ok((event, trace))
-}
-
-/// [`step`] writing the address trace into a caller-owned buffer (reset
-/// first; the result equals the trace [`step`] returns), so loops that step
-/// millions of warp-instructions reuse one allocation. The error is boxed to
-/// keep the `Result` small on the hot path.
-pub fn step_into(
-    warp: &mut Warp,
-    insts: &[Instruction],
-    env: &mut ExecEnv<'_>,
-    warp_idx: u32,
-    trace: &mut MemTrace,
-) -> Result<StepEvent, Box<ExecError>> {
-    trace.reset();
-    let ctx = match warp.current_ctx() {
-        Some(c) => c,
-        None => {
-            warp.exited = true;
-            return Ok(StepEvent::Exited);
-        }
-    };
-    let pc = ctx.pc;
-    let inst = match insts.get(pc as usize) {
-        Some(i) => *i,
-        None => {
-            return Err(Box::new(ExecError {
-                ctaid: env.ctaid,
-                warp: warp_idx,
-                pc,
-                inst: "<end of code>".into(),
-                msg: "fell off the end of the instruction stream (missing EXIT?)".into(),
-            }))
-        }
-    };
-
-    let fail = |msg: String| {
-        Box::new(ExecError {
-            ctaid: env.ctaid,
-            warp: warp_idx,
-            pc,
-            inst: sass::disasm::inst_text(&inst),
-            msg,
-        })
-    };
-
-    // Per-lane guard evaluation. Unpredicated instructions (@PT, the common
-    // case) execute every context lane.
-    let mut exec_mask = 0u32;
-    if inst.guard.pred.is_pt() {
-        if !inst.guard.neg {
-            exec_mask = ctx.mask;
-        }
-    } else {
-        for lane in 0..32 {
-            if ctx.mask & (1 << lane) != 0 {
-                let p = warp.read_pred(inst.guard.pred, lane);
-                if p != inst.guard.neg {
-                    exec_mask |= 1 << lane;
-                }
-            }
-        }
-    }
-
-    // Control flow first (it rewrites contexts).
-    match inst.op {
-        Op::Exit => {
-            // Exit the executing lanes; the rest continue at pc+1.
-            remove_ctx(warp, pc);
-            if ctx.mask & !exec_mask != 0 {
-                push_ctx(
-                    warp,
-                    WarpCtx {
-                        mask: ctx.mask & !exec_mask,
-                        pc: pc + 1,
-                    },
-                );
-            }
-            if warp.ctxs.is_empty() {
-                warp.exited = true;
-                return Ok(StepEvent::Exited);
-            }
-            return Ok(StepEvent::Executed);
-        }
-        Op::Bra { target } => {
-            remove_ctx(warp, pc);
-            if exec_mask != 0 {
-                push_ctx(
-                    warp,
-                    WarpCtx {
-                        mask: exec_mask,
-                        pc: target,
-                    },
-                );
-            }
-            if ctx.mask & !exec_mask != 0 {
-                push_ctx(
-                    warp,
-                    WarpCtx {
-                        mask: ctx.mask & !exec_mask,
-                        pc: pc + 1,
-                    },
-                );
-            }
-            return Ok(StepEvent::Executed);
-        }
-        Op::BarSync => {
-            if warp.ctxs.len() > 1 {
-                return Err(fail(
-                    "BAR.SYNC in divergent control flow is not supported".into(),
-                ));
-            }
-            advance_ctx(warp, pc);
-            return Ok(StepEvent::Barrier);
-        }
-        _ => {}
-    }
-
-    // Data instructions: execute lane-by-lane under exec_mask.
-    trace.exec_mask = exec_mask;
-    let cbank = env.cbank;
-    let bd = env.block_dim;
-    let ctaid = env.ctaid;
-
-    // Resolve SrcB for a lane.
-    macro_rules! srcb {
-        ($b:expr, $lane:expr) => {
-            match $b {
-                SrcB::Reg(r) => warp.read_reg(r, $lane),
-                SrcB::Imm(v) => v,
-                SrcB::Const(off) => cbank.read_u32(off),
-            }
-        };
-    }
-
-    // Full-warp row fast paths: when every lane executes and the destination
-    // is a real register, operate on whole 32-lane register rows. Source
-    // rows are copied to the stack first (sources may alias the
-    // destination; per-lane order then matches the general path exactly),
-    // which hoists all bounds checks and lets the lane loop vectorize. Lane
-    // arithmetic is identical to the general path, so results stay
-    // bit-identical.
-    let full = exec_mask == u32::MAX;
-    let row = |warp: &Warp, r: Reg| -> [u32; 32] {
-        if r.is_rz() {
-            [0u32; 32]
-        } else {
-            warp.regs[r.0 as usize]
-        }
-    };
-    let row_b = |warp: &Warp, b: SrcB| -> [u32; 32] {
-        match b {
-            SrcB::Reg(r) => row(warp, r),
-            SrcB::Imm(v) => [v; 32],
-            SrcB::Const(off) => [cbank.read_u32(off); 32],
-        }
-    };
-
-    match inst.op {
-        Op::Ffma {
+/// Execute a non-memory data micro-op on the lanes of `mask`.
+fn alu(warp: &mut Warp, e: &Exec, env: &ExecEnv<'_>, mask: u32) {
+    use sass::half::{pack_half2, unpack_half2};
+    let src = |b: SrcRow| Src::of(b, env.cbank);
+    let regs = &mut warp.regs[..];
+    match *e {
+        Exec::Ffma {
             d,
             a,
             b,
@@ -414,109 +556,62 @@ pub fn step_into(
             neg_b,
             neg_c,
         } => {
-            if full && !d.is_rz() {
-                let ra = row(warp, a);
-                let rb = row_b(warp, b);
-                let rc = row(warp, c);
-                ffma_rows(&ra, &rb, &rc, &mut warp.regs[d.0 as usize], neg_b, neg_c);
-            } else {
-                for lane in lanes(exec_mask) {
-                    let va = f(warp.read_reg(a, lane));
-                    let vb = f(neg_f(srcb!(b, lane), neg_b));
-                    let vc = f(neg_f(warp.read_reg(c, lane), neg_c));
-                    warp.write_reg(d, lane, va.mul_add(vb, vc).to_bits());
-                }
-            }
+            let op = Fused::Ffma {
+                nb: sign(neg_b),
+                nc: sign(neg_c),
+            };
+            fused(regs, mask, op, d, a, src(b), c)
         }
-        Op::Fadd {
+        Exec::Fadd {
             d,
             a,
             neg_a,
             b,
             neg_b,
         } => {
-            if full && !d.is_rz() {
-                let ra = row(warp, a);
-                let rb = row_b(warp, b);
-                let rd = &mut warp.regs[d.0 as usize];
-                for lane in 0..32 {
-                    let va = f(neg_f(ra[lane], neg_a));
-                    let vb = f(neg_f(rb[lane], neg_b));
-                    rd[lane] = (va + vb).to_bits();
-                }
-            } else {
-                for lane in lanes(exec_mask) {
-                    let va = f(neg_f(warp.read_reg(a, lane), neg_a));
-                    let vb = f(neg_f(srcb!(b, lane), neg_b));
-                    warp.write_reg(d, lane, (va + vb).to_bits());
-                }
-            }
+            let (na, nb) = (sign(neg_a), sign(neg_b));
+            rows3(regs, mask, d, a, src(b), a, |_, x, y, _| {
+                (f(x ^ na) + f(y ^ nb)).to_bits()
+            })
         }
-        Op::Fmul { d, a, b, neg_b } => {
-            if full && !d.is_rz() {
-                let ra = row(warp, a);
-                let rb = row_b(warp, b);
-                let rd = &mut warp.regs[d.0 as usize];
-                for lane in 0..32 {
-                    let va = f(ra[lane]);
-                    let vb = f(neg_f(rb[lane], neg_b));
-                    rd[lane] = (va * vb).to_bits();
-                }
-            } else {
-                for lane in lanes(exec_mask) {
-                    let va = f(warp.read_reg(a, lane));
-                    let vb = f(neg_f(srcb!(b, lane), neg_b));
-                    warp.write_reg(d, lane, (va * vb).to_bits());
-                }
-            }
+        Exec::Fmul { d, a, b, neg_b } => {
+            let nb = sign(neg_b);
+            rows3(regs, mask, d, a, src(b), a, |_, x, y, _| {
+                (f(x) * f(y ^ nb)).to_bits()
+            })
         }
-        Op::Hfma2 { d, a, b, c } => {
-            // Paired fp16 FMA: compute in f32, round each half to f16
-            // (the hardware's fp16 accumulate behaviour, §8.3).
-            for lane in lanes(exec_mask) {
-                let (a0, a1) = sass::half::unpack_half2(warp.read_reg(a, lane));
-                let (b0, b1) = sass::half::unpack_half2(srcb!(b, lane));
-                let (c0, c1) = sass::half::unpack_half2(warp.read_reg(c, lane));
-                let v = sass::half::pack_half2(a0.mul_add(b0, c0), a1.mul_add(b1, c1));
-                warp.write_reg(d, lane, v);
-            }
-        }
-        Op::Hadd2 {
+        Exec::Hfma2 { d, a, b, c } => fused(regs, mask, Fused::Hfma2, d, a, src(b), c),
+        Exec::Hadd2 {
             d,
             a,
             neg_a,
             b,
             neg_b,
         } => {
-            for lane in lanes(exec_mask) {
-                let (a0, a1) = sass::half::unpack_half2(neg_f2(warp.read_reg(a, lane), neg_a));
-                let (b0, b1) = sass::half::unpack_half2(neg_f2(srcb!(b, lane), neg_b));
-                warp.write_reg(d, lane, sass::half::pack_half2(a0 + b0, a1 + b1));
-            }
+            let (na, nb) = (sign2(neg_a), sign2(neg_b));
+            rows3(regs, mask, d, a, src(b), a, |_, x, y, _| {
+                let ((a0, a1), (b0, b1)) = (unpack_half2(x ^ na), unpack_half2(y ^ nb));
+                pack_half2(a0 + b0, a1 + b1)
+            })
         }
-        Op::Hmul2 { d, a, b } => {
-            for lane in lanes(exec_mask) {
-                let (a0, a1) = sass::half::unpack_half2(warp.read_reg(a, lane));
-                let (b0, b1) = sass::half::unpack_half2(srcb!(b, lane));
-                warp.write_reg(d, lane, sass::half::pack_half2(a0 * b0, a1 * b1));
-            }
-        }
-        Op::Fsetp {
+        Exec::Hmul2 { d, a, b } => rows3(regs, mask, d, a, src(b), a, |_, x, y, _| {
+            let ((a0, a1), (b0, b1)) = (unpack_half2(x), unpack_half2(y));
+            pack_half2(a0 * b0, a1 * b1)
+        }),
+        Exec::Fsetp {
             p,
             cmp,
             a,
             b,
             combine,
         } => {
-            for lane in lanes(exec_mask) {
-                let va = f(warp.read_reg(a, lane));
-                let vb = f(srcb!(b, lane));
-                let base = cmp.eval_f32(va, vb);
-                let comb = warp.read_pred(combine.pred, lane) != combine.neg;
-                warp.write_pred(p, lane, base && comb);
+            if let Some(p) = p {
+                let hit = cmp_rows(regs, a, src(b), |x, y| cmp.eval_f32(f(x), f(y)));
+                let comb = pred_mask(&warp.preds, combine);
+                set_preds(&mut warp.preds[p as usize], hit & comb, mask);
             }
         }
-        Op::Iadd3 {
+        Exec::Iadd3 {
             d,
             a,
             neg_a,
@@ -524,150 +619,131 @@ pub fn step_into(
             neg_b,
             c,
             neg_c,
-        } => {
-            for lane in lanes(exec_mask) {
-                let va = neg_i(warp.read_reg(a, lane), neg_a);
-                let vb = neg_i(srcb!(b, lane), neg_b);
-                let vc = neg_i(warp.read_reg(c, lane), neg_c);
-                warp.write_reg(d, lane, va.wrapping_add(vb).wrapping_add(vc));
-            }
-        }
-        Op::Imad { d, a, b, c } => {
-            for lane in lanes(exec_mask) {
-                let v = warp
-                    .read_reg(a, lane)
-                    .wrapping_mul(srcb!(b, lane))
-                    .wrapping_add(warp.read_reg(c, lane));
-                warp.write_reg(d, lane, v);
-            }
-        }
-        Op::ImadHi { d, a, b, c } => {
-            for lane in lanes(exec_mask) {
-                let prod = warp.read_reg(a, lane) as u64 * srcb!(b, lane) as u64;
-                let v = ((prod >> 32) as u32).wrapping_add(warp.read_reg(c, lane));
-                warp.write_reg(d, lane, v);
-            }
-        }
-        Op::ImadWide { d, a, b, c } => {
-            for lane in lanes(exec_mask) {
-                let clo = warp.read_reg(c, lane) as u64;
-                let chi = warp.read_reg(c.offset(1), lane) as u64;
-                let prod = warp.read_reg(a, lane) as u64 * srcb!(b, lane) as u64;
-                let sum = prod.wrapping_add(clo | (chi << 32));
-                warp.write_reg(d, lane, sum as u32);
-                warp.write_reg(d.offset(1), lane, (sum >> 32) as u32);
-            }
-        }
-        Op::Lea { d, a, b, shift } => {
-            for lane in lanes(exec_mask) {
-                let v = srcb!(b, lane).wrapping_add(warp.read_reg(a, lane) << shift);
-                warp.write_reg(d, lane, v);
-            }
-        }
-        Op::Lop3 { d, a, b, c, lut } => {
-            for lane in lanes(exec_mask) {
-                let v = lop3(
-                    warp.read_reg(a, lane),
-                    srcb!(b, lane),
-                    warp.read_reg(c, lane),
-                    lut,
+        } => rows3(regs, mask, d, a, src(b), c, |_, x, y, z| {
+            neg_i(x, neg_a)
+                .wrapping_add(neg_i(y, neg_b))
+                .wrapping_add(neg_i(z, neg_c))
+        }),
+        Exec::Imad { d, a, b, c } => rows3(regs, mask, d, a, src(b), c, |_, x, y, z| {
+            x.wrapping_mul(y).wrapping_add(z)
+        }),
+        Exec::ImadHi { d, a, b, c } => rows3(regs, mask, d, a, src(b), c, |_, x, y, z| {
+            (((x as u64 * y as u64) >> 32) as u32).wrapping_add(z)
+        }),
+        Exec::ImadWide { d, a, b, c } => {
+            // Both result words come from the sources as they were before
+            // either is written; the high word lands last.
+            let mut hi: Lanes = [0; 32];
+            let lo: Lanes = {
+                let b = src(b);
+                let (ra, c0, c1) = (
+                    &regs[a as usize],
+                    &regs[c[0] as usize],
+                    &regs[c[1] as usize],
                 );
-                warp.write_reg(d, lane, v);
-            }
+                std::array::from_fn(|l| {
+                    let vb = match b {
+                        Src::Row(r) => regs[r as usize][l],
+                        Src::Splat(v) => v,
+                    };
+                    let sum = (ra[l] as u64 * vb as u64)
+                        .wrapping_add(c0[l] as u64 | (c1[l] as u64) << 32);
+                    hi[l] = (sum >> 32) as u32;
+                    sum as u32
+                })
+            };
+            write_row(&mut regs[d[0] as usize], &lo, mask);
+            write_row(&mut regs[d[1] as usize], &hi, mask);
         }
-        Op::Shf {
+        Exec::Lea { d, a, b, shift } => rows3(regs, mask, d, a, src(b), a, |_, x, y, _| {
+            y.wrapping_add(x.wrapping_shl(shift as u32))
+        }),
+        Exec::Lop3 { d, a, b, c, lut } => {
+            rows3(regs, mask, d, a, src(b), c, |_, x, y, z| lop3(x, y, z, lut))
+        }
+        Exec::Shf {
             d,
             lo,
             shift,
             hi,
             right,
             u32_mode,
-        } => {
-            for lane in lanes(exec_mask) {
-                let n = srcb!(shift, lane) & 63;
-                let vlo = warp.read_reg(lo, lane);
-                let vhi = warp.read_reg(hi, lane);
-                let v = if u32_mode {
-                    let n = n & 31;
-                    if right {
-                        vlo >> n
-                    } else {
-                        vlo << n
-                    }
+        } => rows3(regs, mask, d, lo, src(shift), hi, |_, vlo, n, vhi| {
+            let n = n & 63;
+            if u32_mode {
+                let n = n & 31;
+                if right {
+                    vlo >> n
                 } else {
-                    let wide = (vhi as u64) << 32 | vlo as u64;
-                    if right {
-                        (wide >> n) as u32
-                    } else {
-                        ((wide << n) >> 32) as u32
-                    }
-                };
-                warp.write_reg(d, lane, v);
-            }
-        }
-        Op::Mov { d, b } => {
-            for lane in lanes(exec_mask) {
-                let v = srcb!(b, lane);
-                warp.write_reg(d, lane, v);
-            }
-        }
-        Op::Sel { d, a, b, p } => {
-            for lane in lanes(exec_mask) {
-                let sel = warp.read_pred(p.pred, lane) != p.neg;
-                let v = if sel {
-                    warp.read_reg(a, lane)
+                    vlo << n
+                }
+            } else {
+                let wide = (vhi as u64) << 32 | vlo as u64;
+                if right {
+                    (wide >> n) as u32
                 } else {
-                    srcb!(b, lane)
-                };
-                warp.write_reg(d, lane, v);
+                    ((wide << n) >> 32) as u32
+                }
             }
+        }),
+        Exec::Mov { d, b } => rows3(regs, mask, d, d, src(b), d, |_, _, y, _| y),
+        Exec::Sel { d, a, b, p } => {
+            let pick = pred_mask(&warp.preds, p);
+            rows3(regs, mask, d, a, src(b), a, |l, x, y, _| {
+                if pick & (1 << l) != 0 {
+                    x
+                } else {
+                    y
+                }
+            })
         }
-        Op::Isetp {
+        Exec::Isetp {
             p,
             cmp,
-            u32: unsigned,
+            unsigned,
             a,
             b,
             combine,
         } => {
-            for lane in lanes(exec_mask) {
-                let va = warp.read_reg(a, lane);
-                let vb = srcb!(b, lane);
-                let base = if unsigned {
-                    cmp.eval_i64(va as i64, vb as i64)
-                } else {
-                    cmp.eval_i64(va as i32 as i64, vb as i32 as i64)
-                };
-                let comb = warp.read_pred(combine.pred, lane) != combine.neg;
-                warp.write_pred(p, lane, base && comb);
+            if let Some(p) = p {
+                let hit = cmp_rows(regs, a, src(b), |x, y| {
+                    if unsigned {
+                        cmp.eval_i64(x as i64, y as i64)
+                    } else {
+                        cmp.eval_i64(x as i32 as i64, y as i32 as i64)
+                    }
+                });
+                let comb = pred_mask(&warp.preds, combine);
+                set_preds(&mut warp.preds[p as usize], hit & comb, mask);
             }
         }
-        Op::P2r { d, a, mask } => {
-            for lane in lanes(exec_mask) {
-                let mut bits = 0u32;
-                for i in 0..7 {
-                    if warp.preds[i][lane] {
-                        bits |= 1 << i;
-                    }
-                }
-                let v = (warp.read_reg(a, lane) & !mask) | (bits & mask);
-                warp.write_reg(d, lane, v);
-            }
-        }
-        Op::R2p { a, mask } => {
-            for lane in lanes(exec_mask) {
-                let v = warp.read_reg(a, lane);
-                for i in 0..7u32 {
-                    if mask & (1 << i) != 0 {
-                        warp.preds[i as usize][lane] = v & (1 << i) != 0;
-                    }
+        Exec::P2r { d, a, mask: m } => {
+            let mut bits: Lanes = [0; 32];
+            for (i, row) in warp.preds.iter().enumerate() {
+                for (b, &v) in bits.iter_mut().zip(row) {
+                    *b |= (v as u32) << i;
                 }
             }
+            rows3(regs, mask, d, a, Src::Splat(0), a, |l, x, _, _| {
+                (x & !m) | (bits[l] & m)
+            })
         }
-        Op::S2r { d, sr } => {
-            for lane in lanes(exec_mask) {
+        Exec::R2p { a, mask: m } => {
+            let ra = &warp.regs[a as usize];
+            for lane in lanes(mask) {
+                for (i, row) in warp.preds.iter_mut().enumerate() {
+                    if m & (1 << i) != 0 {
+                        row[lane] = ra[lane] & (1 << i) != 0;
+                    }
+                }
+            }
+        }
+        Exec::S2r { d, sr } => {
+            let (bd, ctaid) = (env.block_dim, env.ctaid);
+            let rd = &mut regs[d as usize];
+            for lane in lanes(mask) {
                 let linear = warp.base_tid + lane as u32;
-                let v = match sr {
+                rd[lane] = match sr {
                     SpecialReg::TidX => linear % bd[0],
                     SpecialReg::TidY => (linear / bd[0]) % bd[1],
                     SpecialReg::TidZ => linear / (bd[0] * bd[1]),
@@ -677,239 +753,153 @@ pub fn step_into(
                     SpecialReg::LaneId => lane as u32,
                     SpecialReg::WarpId => linear / WARP_SIZE,
                 };
-                warp.write_reg(d, lane, v);
             }
         }
-        Op::Ld {
-            space,
-            width,
-            d,
-            addr,
-        } => {
-            trace.width = width.bytes();
-            trace.is_store = false;
-            match space {
-                MemSpace::Global => {
-                    trace.global_addrs.reserve(exec_mask.count_ones() as usize);
-                    for lane in lanes(exec_mask) {
-                        let lo = warp.read_reg(addr.base, lane) as u64;
-                        let hi = warp.read_reg(addr.base.offset(1), lane) as u64;
-                        let a = (lo | (hi << 32)).wrapping_add(addr.offset as i64 as u64);
-                        trace.global_addrs.push(a);
-                        // Widest access is 16 bytes; stage through a stack
-                        // buffer so the per-lane path never heap-allocates.
-                        let mut buf = [0u8; 16];
-                        let n = width.bytes() as usize;
-                        buf[..n].copy_from_slice(
-                            env.global
-                                .read(a, n)
-                                .map_err(|e: MemError| fail(format!("lane {lane}: {e}")))?,
-                        );
-                        for i in 0..width.regs() {
-                            let off = i as usize * 4;
-                            warp.write_reg(
-                                d.offset(i),
-                                lane,
-                                u32::from_le_bytes(buf[off..off + 4].try_into().unwrap()),
-                            );
-                        }
-                    }
-                }
-                MemSpace::Shared => {
-                    trace.shared_addrs.reserve(exec_mask.count_ones() as usize);
-                    if full {
-                        // Row path: resolve and bounds-check all lane
-                        // addresses up front (addresses come from the
-                        // pre-copied base row, so a destination overlapping
-                        // the address register reads the same values the
-                        // lane-order path would), then fill each destination
-                        // row with one tight pass over the lanes.
-                        let base = row(warp, addr.base);
-                        let mut addrs = [0u32; 32];
-                        for (lane, slot) in addrs.iter_mut().enumerate() {
-                            let a = base[lane].wrapping_add(addr.offset as u32);
-                            trace.shared_addrs.push(a);
-                            if a as usize + width.bytes() as usize > env.smem.len() {
-                                return Err(fail(format!(
-                                    "lane {lane}: shared load at {a:#x} past smem size {:#x}",
-                                    env.smem.len()
-                                )));
-                            }
-                            *slot = a;
-                        }
-                        for i in 0..width.regs() {
-                            let di = d.offset(i);
-                            if di.is_rz() {
-                                continue;
-                            }
-                            let rd = &mut warp.regs[di.0 as usize];
-                            for lane in 0..32 {
-                                let off = addrs[lane] as usize + i as usize * 4;
-                                rd[lane] =
-                                    u32::from_le_bytes(env.smem[off..off + 4].try_into().unwrap());
-                            }
-                        }
-                    } else {
-                        for lane in lanes(exec_mask) {
-                            let a = warp
-                                .read_reg(addr.base, lane)
-                                .wrapping_add(addr.offset as u32);
-                            trace.shared_addrs.push(a);
-                            let end = a as usize + width.bytes() as usize;
-                            if end > env.smem.len() {
-                                return Err(fail(format!(
-                                    "lane {lane}: shared load at {a:#x} past smem size {:#x}",
-                                    env.smem.len()
-                                )));
-                            }
-                            for i in 0..width.regs() {
-                                let off = a as usize + i as usize * 4;
-                                let v =
-                                    u32::from_le_bytes(env.smem[off..off + 4].try_into().unwrap());
-                                warp.write_reg(d.offset(i), lane, v);
-                            }
-                        }
-                    }
-                }
-            }
+        Exec::Nop => {}
+        Exec::Mem(_) | Exec::Bra { .. } | Exec::Exit | Exec::BarSync | Exec::BadReg(_) => {
+            unreachable!("handled by step_into")
         }
-        Op::St {
-            space,
-            width,
-            addr,
-            src,
-        } => {
-            trace.width = width.bytes();
-            trace.is_store = true;
-            match space {
-                MemSpace::Global => {
-                    trace.global_addrs.reserve(exec_mask.count_ones() as usize);
-                    for lane in lanes(exec_mask) {
-                        let lo = warp.read_reg(addr.base, lane) as u64;
-                        let hi = warp.read_reg(addr.base.offset(1), lane) as u64;
-                        let a = (lo | (hi << 32)).wrapping_add(addr.offset as i64 as u64);
-                        trace.global_addrs.push(a);
-                        let mut buf = [0u8; 16];
-                        for i in 0..width.regs() {
-                            buf[i as usize * 4..i as usize * 4 + 4]
-                                .copy_from_slice(&warp.read_reg(src.offset(i), lane).to_le_bytes());
-                        }
-                        env.global
-                            .write(a, &buf[..width.bytes() as usize])
-                            .map_err(|e| fail(format!("lane {lane}: {e}")))?;
-                    }
-                }
-                MemSpace::Shared => {
-                    trace.shared_addrs.reserve(exec_mask.count_ones() as usize);
-                    if full {
-                        // Stores only read registers, so staging the source
-                        // rows is purely a bounds-check hoist. Writes stay
-                        // lane-major like the general path, so overlapping
-                        // lane addresses resolve identically.
-                        let base = row(warp, addr.base);
-                        let mut rows = [[0u32; 32]; 4];
-                        for (i, r) in rows.iter_mut().take(width.regs() as usize).enumerate() {
-                            *r = row(warp, src.offset(i as u8));
-                        }
-                        for (lane, &b) in base.iter().enumerate() {
-                            let a = b.wrapping_add(addr.offset as u32);
-                            trace.shared_addrs.push(a);
-                            if a as usize + width.bytes() as usize > env.smem.len() {
-                                return Err(fail(format!(
-                                    "lane {lane}: shared store at {a:#x} past smem size {:#x}",
-                                    env.smem.len()
-                                )));
-                            }
-                            for (i, r) in rows.iter().take(width.regs() as usize).enumerate() {
-                                let off = a as usize + i * 4;
-                                env.smem[off..off + 4].copy_from_slice(&r[lane].to_le_bytes());
-                            }
-                        }
-                    } else {
-                        for lane in lanes(exec_mask) {
-                            let a = warp
-                                .read_reg(addr.base, lane)
-                                .wrapping_add(addr.offset as u32);
-                            trace.shared_addrs.push(a);
-                            let end = a as usize + width.bytes() as usize;
-                            if end > env.smem.len() {
-                                return Err(fail(format!(
-                                    "lane {lane}: shared store at {a:#x} past smem size {:#x}",
-                                    env.smem.len()
-                                )));
-                            }
-                            for i in 0..width.regs() {
-                                let off = a as usize + i as usize * 4;
-                                env.smem[off..off + 4].copy_from_slice(
-                                    &warp.read_reg(src.offset(i), lane).to_le_bytes(),
-                                );
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Op::Nop => {}
-        Op::Exit | Op::Bra { .. } | Op::BarSync => unreachable!("handled above"),
     }
-
-    advance_ctx(warp, pc);
-    Ok(StepEvent::Executed)
 }
 
-fn lanes(mask: u32) -> impl Iterator<Item = usize> {
-    (0..32).filter(move |l| mask & (1 << l) != 0)
-}
-
-/// 32-lane FFMA row kernel: `rd = ra * (±rb) + (±rc)` per lane, fused
-/// rounding. On x86-64 with FMA support this compiles with the FMA target
-/// feature enabled, so `mul_add` inlines to `vfmadd` instead of calling
-/// libm's `fmaf` per lane; both are IEEE correctly-rounded, so the result
-/// bits are identical on every path.
+/// Set `row[lane] = value bit` for the lanes of `mask`.
 #[inline]
-fn ffma_rows(
-    ra: &[u32; 32],
-    rb: &[u32; 32],
-    rc: &[u32; 32],
-    rd: &mut [u32; 32],
-    neg_b: bool,
-    neg_c: bool,
-) {
-    #[inline(always)]
-    fn rows(
-        ra: &[u32; 32],
-        rb: &[u32; 32],
-        rc: &[u32; 32],
-        rd: &mut [u32; 32],
-        neg_b: bool,
-        neg_c: bool,
+fn set_preds(row: &mut [bool; WARP_SIZE as usize], value: u32, mask: u32) {
+    for lane in lanes(mask) {
+        row[lane] = value & (1 << lane) != 0;
+    }
+}
+
+/// Execute a load or store on the lanes of `mask`; the error is the message
+/// naming the first faulting lane.
+fn mem_op(
+    regs: &mut [Lanes],
+    m: &MemOp,
+    env: &mut ExecEnv<'_>,
+    mask: u32,
+    trace: &mut MemTrace,
+) -> Result<(), String> {
+    trace.width = m.nregs as u32 * 4;
+    trace.is_store = m.store;
+    match (m.space, m.nregs) {
+        (MemSpace::Shared, 1) => shared::<1>(regs, m, env.smem, mask, trace),
+        (MemSpace::Shared, 2) => shared::<2>(regs, m, env.smem, mask, trace),
+        (MemSpace::Shared, _) => shared::<4>(regs, m, env.smem, mask, trace),
+        (MemSpace::Global, 1) => global::<1>(regs, m, env.global, mask, trace),
+        (MemSpace::Global, 2) => global::<2>(regs, m, env.global, mask, trace),
+        (MemSpace::Global, _) => global::<4>(regs, m, env.global, mask, trace),
+    }
+}
+
+/// A shared-memory access of `N` words per lane.
+fn shared<const N: usize>(
+    regs: &mut [Lanes],
+    m: &MemOp,
+    smem: &mut [u8],
+    mask: u32,
+    trace: &mut MemTrace,
+) -> Result<(), String> {
+    let base = &regs[m.addr[0] as usize];
+    let addrs: [u32; 32] = std::array::from_fn(|l| base[l].wrapping_add(m.offset as u32));
+    let size = smem.len();
+    let locate = |a: u32| (a as usize + 4 * N <= size).then_some(a as usize);
+    match move_words::<u32, N>(regs, m, mask, &addrs, &mut trace.shared_addrs, smem, locate) {
+        None => Ok(()),
+        Some(lane) => Err(format!(
+            "lane {lane}: shared {} at {:#x} past smem size {size:#x}",
+            if m.store { "store" } else { "load" },
+            addrs[lane]
+        )),
+    }
+}
+
+/// A global-memory access of `N` words per lane (64-bit base pair).
+fn global<const N: usize>(
+    regs: &mut [Lanes],
+    m: &MemOp,
+    mem: &mut GlobalMemory,
+    mask: u32,
+    trace: &mut MemTrace,
+) -> Result<(), String> {
+    let (lo, hi) = (&regs[m.addr[0] as usize], &regs[m.addr[1] as usize]);
+    let addrs: [u64; 32] = std::array::from_fn(|l| {
+        (lo[l] as u64 | (hi[l] as u64) << 32).wrapping_add(m.offset as i64 as u64)
+    });
+    let locator = mem.locator();
+    let locate = |a: u64| locator(a, 4 * N);
+    match move_words::<u64, N>(
+        regs,
+        m,
+        mask,
+        &addrs,
+        &mut trace.global_addrs,
+        mem.bytes_mut(),
+        locate,
     ) {
-        for lane in 0..32 {
-            let va = f(ra[lane]);
-            let vb = f(neg_f(rb[lane], neg_b));
-            let vc = f(neg_f(rc[lane], neg_c));
-            rd[lane] = va.mul_add(vb, vc).to_bits();
+        None => Ok(()),
+        Some(lane) => Err(format!(
+            "lane {lane}: {}",
+            MemError::OutOfBounds {
+                addr: addrs[lane],
+                len: 4 * N,
+            }
+        )),
+    }
+}
+
+/// The body of every load and store: record the executing lanes' addresses
+/// in the trace and bounds-check them in lane order (`locate` maps an
+/// address to its byte offset in `mem`, or `None` if the access does not
+/// fit), then move `N` little-endian words per lane between `mem` and the
+/// data rows for every lane before the first faulting one. Returns the
+/// faulting lane, if any; the trace then ends with its address.
+#[inline(always)]
+fn move_words<A: Copy, const N: usize>(
+    regs: &mut [Lanes],
+    m: &MemOp,
+    mask: u32,
+    addrs: &[A; 32],
+    seen: &mut Vec<A>,
+    mem: &mut [u8],
+    locate: impl Fn(A) -> Option<usize>,
+) -> Option<usize> {
+    // Locate every lane (idle lanes too: their offsets go unused).
+    let mut offs = [0usize; 32];
+    let mut bad = 0u32;
+    for (lane, (o, &a)) in offs.iter_mut().zip(addrs).enumerate() {
+        match locate(a) {
+            Some(off) => *o = off,
+            None => bad |= 1 << lane,
         }
     }
-    #[cfg(target_arch = "x86_64")]
-    {
-        #[target_feature(enable = "fma")]
-        unsafe fn rows_hw(
-            ra: &[u32; 32],
-            rb: &[u32; 32],
-            rc: &[u32; 32],
-            rd: &mut [u32; 32],
-            neg_b: bool,
-            neg_c: bool,
-        ) {
-            rows(ra, rb, rc, rd, neg_b, neg_c)
+    let fault = (bad & mask != 0).then(|| (bad & mask).trailing_zeros() as usize);
+    // The trace lists the executing lanes up to the faulting one.
+    let shown = fault.map_or(mask, |lane| mask & (u32::MAX >> (31 - lane)));
+    if shown == u32::MAX {
+        seen.extend_from_slice(addrs);
+    } else {
+        seen.extend(lanes(shown).map(|lane| addrs[lane]));
+    }
+    let done = fault.map_or(mask, |lane| mask & ((1u32 << lane) - 1));
+    let data: [usize; N] = std::array::from_fn(|i| m.data[i] as usize);
+    // Lane-major, so overlapping store lanes resolve in lane order and a
+    // row named twice (saturated vector, `RZ` sink) ends with its last word.
+    if m.store {
+        for lane in lanes(done) {
+            let dst = &mut mem[offs[lane]..offs[lane] + 4 * N];
+            for (w, &r) in dst.chunks_exact_mut(4).zip(&data) {
+                w.copy_from_slice(&regs[r][lane].to_le_bytes());
+            }
         }
-        if std::arch::is_x86_feature_detected!("fma") {
-            // SAFETY: the FMA feature was just detected at runtime.
-            return unsafe { rows_hw(ra, rb, rc, rd, neg_b, neg_c) };
+    } else {
+        for lane in lanes(done) {
+            let src = &mem[offs[lane]..offs[lane] + 4 * N];
+            for (w, &r) in src.chunks_exact(4).zip(&data) {
+                regs[r][lane] = u32::from_le_bytes(w.try_into().unwrap());
+            }
         }
     }
-    rows(ra, rb, rc, rd, neg_b, neg_c)
+    fault
 }
 
 fn remove_ctx(warp: &mut Warp, pc: u32) {
@@ -960,6 +950,7 @@ mod tests {
     use super::*;
     use crate::memory::{ConstBank, GlobalMemory, ParamBuilder};
     use sass::isa::build::*;
+    use sass::isa::*;
     use sass::reg::{Pred, Reg, RZ};
 
     fn env_fixture<'a>(

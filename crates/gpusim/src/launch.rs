@@ -6,6 +6,7 @@
 
 use sass::Module;
 
+use crate::decode::{decode_module, num_regs_of, MicroOp};
 use crate::device::DeviceSpec;
 use crate::exec::{step_into, ExecEnv, ExecError, MemTrace, StepEvent, Warp, WARP_SIZE};
 use crate::memory::{ConstBank, DevPtr, GlobalMemory};
@@ -174,11 +175,6 @@ impl Gpu {
         }
     }
 
-    /// Convenience: 1 GiB arena.
-    pub fn with_default_mem(device: DeviceSpec) -> Self {
-        Gpu::new(device, 1 << 30)
-    }
-
     /// Allocate device memory.
     pub fn alloc(&mut self, bytes: u64) -> DevPtr {
         self.mem.alloc(bytes)
@@ -222,12 +218,21 @@ impl Gpu {
         params: &[u8],
     ) -> Result<(), LaunchError> {
         self.validate(module, &dims)?;
+        let table = decode_module(module, None);
         let cbank = ConstBank::new(dims.block, dims.grid, params);
         for bz in 0..dims.grid[2] {
             for by in 0..dims.grid[1] {
                 for bx in 0..dims.grid[0] {
-                    run_block(module, &mut self.mem, &cbank, [bx, by, bz], dims.block)
-                        .map_err(LaunchError::Exec)?;
+                    run_block(
+                        module,
+                        &table,
+                        &mut self.mem,
+                        &cbank,
+                        [bx, by, bz],
+                        dims.block,
+                        &mut |_| {},
+                    )
+                    .map_err(LaunchError::Exec)?;
                 }
             }
         }
@@ -245,14 +250,16 @@ impl Gpu {
         params: &[u8],
     ) -> Result<ExecCounters, LaunchError> {
         self.validate(module, &dims)?;
+        let table = decode_module(module, None);
         let cbank = ConstBank::new(dims.block, dims.grid, params);
         let mut counters = ExecCounters::default();
         let mut sectors = Vec::new();
         for bz in 0..dims.grid[2] {
             for by in 0..dims.grid[1] {
                 for bx in 0..dims.grid[0] {
-                    run_block_traced(
+                    run_block(
                         module,
+                        &table,
                         &mut self.mem,
                         &cbank,
                         [bx, by, bz],
@@ -291,6 +298,7 @@ impl Gpu {
         if total < 4 || threads < 2 {
             return self.launch(module, dims, params);
         }
+        let table = decode_module(module, None);
 
         let mem_ptr = &SharedMem(&mut self.mem as *mut GlobalMemory);
 
@@ -310,7 +318,10 @@ impl Gpu {
                         // SAFETY: see the method-level contract — blocks write
                         // disjoint regions, matching device semantics.
                         let mem = unsafe { mem_ptr.get() };
-                        if let Err(e) = run_block(module, mem, &cbank, [bx, by, bz], dims.block) {
+                        let ctaid = [bx, by, bz];
+                        let run =
+                            run_block(module, &table, mem, &cbank, ctaid, dims.block, &mut |_| {});
+                        if let Err(e) = run {
                             *err.lock().unwrap() = Some(e);
                             break;
                         }
@@ -344,27 +355,18 @@ impl SharedMem {
     }
 }
 
-/// Run one thread block to completion (cooperative warp scheduling with
-/// barrier support).
-pub fn run_block(
+/// Run one thread block of `module` to completion from its micro-op table
+/// (cooperative warp scheduling with barrier support). `on_trace` sees
+/// every executed instruction's [`MemTrace`] — the [`ExecCounters`] feed
+/// and the timing model's L2 warm-up; plain launches pass a no-op.
+pub(crate) fn run_block(
     module: &Module,
+    table: &[MicroOp],
     global: &mut GlobalMemory,
     cbank: &ConstBank,
     ctaid: [u32; 3],
     block_dim: [u32; 3],
-) -> Result<(), ExecError> {
-    run_block_traced(module, global, cbank, ctaid, block_dim, &mut |_| {})
-}
-
-/// [`run_block`] with a memory-trace observer: `on_trace` sees every
-/// executed instruction's [`MemTrace`] (the [`ExecCounters`] feed).
-pub fn run_block_traced(
-    module: &Module,
-    global: &mut GlobalMemory,
-    cbank: &ConstBank,
-    ctaid: [u32; 3],
-    block_dim: [u32; 3],
-    on_trace: &mut dyn FnMut(&MemTrace),
+    on_trace: &mut impl FnMut(&MemTrace),
 ) -> Result<(), ExecError> {
     let tpb = block_dim[0] * block_dim[1] * block_dim[2];
     let num_warps = tpb.div_ceil(WARP_SIZE);
@@ -373,7 +375,7 @@ pub fn run_block_traced(
         .map(|w| {
             let base = w * WARP_SIZE;
             let lanes = (tpb - base).min(WARP_SIZE);
-            Warp::new(module.info.num_regs.max(1), base, lanes)
+            Warp::new(num_regs_of(module), base, lanes)
         })
         .collect();
     let mut at_barrier = vec![false; num_warps as usize];
@@ -399,7 +401,8 @@ pub fn run_block_traced(
                 };
                 let event = step_into(
                     &mut warps[w],
-                    module.insts.as_slice(),
+                    table,
+                    &module.insts,
                     &mut env,
                     w as u32,
                     &mut trace,

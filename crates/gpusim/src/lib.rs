@@ -20,14 +20,19 @@
 //! * CUDA **occupancy** rules (registers / shared memory / thread limits)
 //!   that reproduce the V100-vs-RTX2070 difference of §7.1.
 //!
-//! Functional execution ([`exec`], [`launch`]) is exact. Timing has two
-//! levels sharing one cycle-level wave loop: [`timing`] times a single wave
-//! of resident blocks on one SM and extrapolates analytically across waves
-//! (the cheap inner-loop model, exact on grids that are a whole multiple of
-//! full waves), while [`device_sim`] dispatches every block of the launch to
-//! its SM and simulates all SMs — event-driven via [`timeq`], sharded across
-//! worker threads with a deterministic merge — so partial last waves and
-//! tail imbalance are timed instead of rounded up.
+//! Every launch decodes its instruction stream once into a flat per-PC
+//! micro-op table (`decode`) that both functional execution and timing
+//! step through. Functional execution ([`exec`], [`launch`]) is exact and
+//! runs on whole 32-lane register rows. Timing has two levels sharing one
+//! cycle-level wave loop: [`timing`] times a single wave of resident blocks
+//! on one SM and extrapolates analytically across waves (the cheap
+//! inner-loop model, exact on grids that are a whole multiple of full
+//! waves), while [`device_sim`] dispatches every block of the launch to its
+//! SM and simulates every SM to completion on run-to-completion worker
+//! threads (SMs are independent, so results are the same for any worker
+//! count) — so partial last waves and tail imbalance are timed instead of
+//! rounded up. [`timeq`] is the deterministic event queue of the wave
+//! loop's scoreboard completions.
 
 pub mod batch;
 pub mod counters;

@@ -48,14 +48,25 @@ impl GlobalMemory {
     }
 
     fn index(&self, addr: u64, len: usize) -> Result<usize, MemError> {
-        if addr < self.base {
-            return Err(MemError::OutOfBounds { addr, len });
+        self.locator()(addr, len).ok_or(MemError::OutOfBounds { addr, len })
+    }
+
+    /// The arena's bounds check as a standalone function: the byte offset of
+    /// `[addr, addr + len)` in the arena, or `None` if any byte of it lies
+    /// outside (addresses near `u64::MAX` included). It borrows nothing, so
+    /// the executor can resolve every lane's address before it takes the
+    /// arena's bytes mutably ([`GlobalMemory::bytes_mut`]).
+    pub(crate) fn locator(&self) -> impl Fn(u64, usize) -> Option<usize> + Copy {
+        let (base, size) = (self.base, self.data.len());
+        move |addr: u64, len: usize| {
+            let off = usize::try_from(addr.checked_sub(base)?).ok()?;
+            (off.checked_add(len)? <= size).then_some(off)
         }
-        let off = (addr - self.base) as usize;
-        if off + len > self.data.len() {
-            return Err(MemError::OutOfBounds { addr, len });
-        }
-        Ok(off)
+    }
+
+    /// The arena's bytes, indexed by [`GlobalMemory::locator`] offsets.
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8] {
+        &mut self.data
     }
 
     /// Read `len` bytes at `addr`.
@@ -196,12 +207,6 @@ impl ParamBuilder {
         self
     }
 
-    /// Byte offset the *next* pushed value would land at, relative to
-    /// `PARAM_BASE`. Useful for writing kernels against fixed offsets.
-    pub fn next_offset(&self) -> usize {
-        self.bytes.len()
-    }
-
     pub fn build(self) -> Vec<u8> {
         self.bytes
     }
@@ -245,6 +250,12 @@ mod tests {
         assert!(m.read_u32(BASE_ADDR + 4096).is_err());
         let mut m = GlobalMemory::new(4096);
         assert!(m.write_u32(0x10, 1).is_err());
+        // An access whose end wraps past u64::MAX faults instead of
+        // overflowing the bounds arithmetic.
+        assert!(m.read(u64::MAX - 3, 16).is_err());
+        assert!(m.write(u64::MAX, &[0; 4]).is_err());
+        assert_eq!(m.locator()(BASE_ADDR + 4092, 4), Some(4092));
+        assert_eq!(m.locator()(BASE_ADDR + 4093, 4), None);
     }
 
     #[test]

@@ -36,10 +36,10 @@ use sass::reg::Reg;
 use sass::Module;
 
 use crate::counters::{CounterCollector, HwCounters};
-use crate::decode::{decode_module, InstDesc, MemKind, PipeKind};
+use crate::decode::{decode_module, num_regs_of, MemKind, MicroOp, PipeKind};
 use crate::device::DeviceSpec;
 use crate::exec::{step_into, ExecEnv, MemTrace, StepEvent, Warp, WARP_SIZE};
-use crate::launch::{Gpu, LaunchDims, LaunchError};
+use crate::launch::{run_block, Gpu, LaunchDims, LaunchError};
 use crate::memory::{ConstBank, GlobalMemory};
 use crate::simprof::{Collector, KernelProfile, SchedClass, StallCause};
 use crate::timeq::TimeQueue;
@@ -353,7 +353,7 @@ impl SmCarry {
 pub(crate) struct WaveParams<'a> {
     pub(crate) device: &'a DeviceSpec,
     pub(crate) module: &'a Module,
-    pub(crate) table: &'a [InstDesc],
+    pub(crate) table: &'a [MicroOp],
     pub(crate) dims: LaunchDims,
     pub(crate) cbank: &'a ConstBank,
     pub(crate) opts: TimingOptions,
@@ -467,14 +467,14 @@ pub fn time_kernel(
     params: &[u8],
     opts: TimingOptions,
 ) -> Result<KernelTiming, LaunchError> {
-    // Decoded-instruction descriptor table: one flat entry per PC, so the
-    // per-cycle path below never pattern-matches `Op` (see `crate::decode`).
-    let table: Vec<InstDesc> = decode_module(&module.insts, opts.region);
+    // Micro-op table: one flat entry per PC, so neither the per-cycle path
+    // nor functional execution pattern-matches `Op` (see `crate::decode`).
+    let table: Vec<MicroOp> = decode_module(module, opts.region);
     time_kernel_with_table(gpu, module, dims, params, opts, &table)
 }
 
-/// [`time_kernel`] with a caller-supplied descriptor table, the batch
-/// fast path ([`crate::batch::BatchTimer`]): schedule-tuner candidates share
+/// [`time_kernel`] with a caller-supplied micro-op table, the batch fast
+/// path ([`crate::batch::BatchTimer`]): schedule-tuner candidates share
 /// their baseline's operand analysis and only re-patch control-code fields.
 /// `table[pc]` must describe `module.insts[pc]` under `opts.region`.
 pub(crate) fn time_kernel_with_table(
@@ -483,7 +483,7 @@ pub(crate) fn time_kernel_with_table(
     dims: LaunchDims,
     params: &[u8],
     opts: TimingOptions,
-    table: &[InstDesc],
+    table: &[MicroOp],
 ) -> Result<KernelTiming, LaunchError> {
     debug_assert_eq!(table.len(), module.insts.len());
     let device = gpu.device.clone();
@@ -511,8 +511,8 @@ pub(crate) fn time_kernel_with_table(
         warm_l2(
             &mut gpu.mem,
             module,
+            table,
             &cbank,
-            [0, 0, 0],
             dims.block,
             &mut carry.l2,
         )?;
@@ -611,7 +611,7 @@ pub(crate) fn simulate_wave(
             let w = (i % warps_per_block) as u32;
             let base = w * WARP_SIZE;
             let lanes = (tpb - base).min(WARP_SIZE);
-            let warp = Warp::new(module.info.num_regs.max(1), base, lanes);
+            let warp = Warp::new(num_regs_of(module), base, lanes);
             let cur_pc = warp.current_ctx().map(|c| c.pc);
             WarpSlot {
                 warp,
@@ -900,6 +900,7 @@ pub(crate) fn simulate_wave(
                 };
                 step_into(
                     &mut slot.warp,
+                    table,
                     &module.insts,
                     &mut env,
                     (chosen % warps_per_block) as u32,
@@ -987,7 +988,7 @@ pub(crate) fn simulate_wave(
                     if in_region {
                         region_fp_active += 2;
                     }
-                    flops_wave += desc.flops_x32;
+                    flops_wave += u64::from(desc.flops_x32);
                 }
                 PipeKind::Int => {
                     int_busy[s] = cycle + 2;
@@ -1132,7 +1133,7 @@ pub(crate) fn simulate_wave(
                 sched_free[s] = sched_free[s].max(cycle + 3);
             }
             let slot = &mut slots[chosen];
-            slot.ready_at = cycle + desc.stall_cycles;
+            slot.ready_at = cycle + u64::from(desc.stall_cycles);
             slot.last_yield = desc.yield_flag;
             // Update reuse cache: latch flagged operand registers (resolved
             // at decode to the first source occurrence per slot). A cleared
@@ -1320,84 +1321,24 @@ pub(crate) fn simulate_wave(
     })
 }
 
-/// Functionally execute one block, inserting every global-memory sector it
-/// touches into the L2 model (steady-state warm-up for the timed wave).
+/// Functionally execute grid block 0, inserting every global-memory sector
+/// it touches into the L2 model (steady-state warm-up for the timed wave).
 fn warm_l2(
     mem: &mut GlobalMemory,
     module: &Module,
+    table: &[MicroOp],
     cbank: &ConstBank,
-    ctaid: [u32; 3],
     block_dim: [u32; 3],
     l2: &mut L2Cache,
 ) -> Result<(), LaunchError> {
-    let tpb = block_dim[0] * block_dim[1] * block_dim[2];
-    let num_warps = tpb.div_ceil(WARP_SIZE);
-    let mut smem = vec![0u8; module.info.smem_bytes as usize];
-    let mut warps: Vec<Warp> = (0..num_warps)
-        .map(|w| {
-            let base = w * WARP_SIZE;
-            let lanes = (tpb - base).min(WARP_SIZE);
-            Warp::new(module.info.num_regs.max(1), base, lanes)
-        })
-        .collect();
-    let mut at_barrier = vec![false; num_warps as usize];
-    let mut steps: u64 = 0;
-    let mut trace = MemTrace::default();
     let mut sectors: Vec<u64> = Vec::new();
-    const WARM_STEP_LIMIT: u64 = 500_000_000;
-    loop {
-        let mut all_done = true;
-        for w in 0..num_warps as usize {
-            if warps[w].exited || at_barrier[w] {
-                all_done &= warps[w].exited;
-                continue;
-            }
-            all_done = false;
-            loop {
-                steps += 1;
-                if steps > WARM_STEP_LIMIT {
-                    return Err(LaunchError::BadBlockShape(
-                        "warm-up block exceeded the instruction-step limit (infinite loop?)".into(),
-                    ));
-                }
-                let mut env = ExecEnv {
-                    global: &mut *mem,
-                    smem: &mut smem,
-                    cbank,
-                    ctaid,
-                    block_dim,
-                };
-                let event = step_into(
-                    &mut warps[w],
-                    module.insts.as_slice(),
-                    &mut env,
-                    w as u32,
-                    &mut trace,
-                )
-                .map_err(|e| LaunchError::Exec(*e))?;
-                global_sectors_into(&trace.global_addrs, trace.width.max(1), &mut sectors);
-                for &sec in &sectors {
-                    l2.access(sec * 32);
-                }
-                match event {
-                    StepEvent::Executed => {}
-                    StepEvent::Barrier => {
-                        at_barrier[w] = true;
-                        break;
-                    }
-                    StepEvent::Exited => break,
-                }
-            }
+    run_block(module, table, mem, cbank, [0, 0, 0], block_dim, &mut |t| {
+        global_sectors_into(&t.global_addrs, t.width.max(1), &mut sectors);
+        for &sec in &sectors {
+            l2.access(sec * 32);
         }
-        if all_done {
-            return Ok(());
-        }
-        let waiting = at_barrier.iter().filter(|&&b| b).count();
-        let live = warps.iter().filter(|w| !w.exited).count();
-        if live > 0 && waiting == live {
-            at_barrier.iter_mut().for_each(|b| *b = false);
-        }
-    }
+    })
+    .map_err(LaunchError::Exec)
 }
 
 #[cfg(test)]

@@ -129,7 +129,10 @@ impl Module {
         let smem_bytes = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
         let param_bytes = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap());
         let count = u32::from_le_bytes(take(&mut pos, 4)?.try_into().unwrap()) as usize;
-        let mut insts = Vec::with_capacity(count);
+        // The count comes from the file: reserve no more instructions than
+        // the remaining bytes can hold (16 per instruction), so a corrupt
+        // count is a `Truncated` error rather than a huge allocation.
+        let mut insts = Vec::with_capacity(count.min((bytes.len() - pos) / 16));
         for _ in 0..count {
             let w = u128::from_le_bytes(take(&mut pos, 16)?.try_into().unwrap());
             insts.push(decode(w).map_err(ModuleError::Decode)?);
@@ -210,6 +213,19 @@ mod tests {
         assert_eq!(Module::from_cubin(b"nope"), Err(ModuleError::BadMagic));
         let mut bytes = sample().to_cubin();
         bytes.truncate(bytes.len() - 1);
+        assert_eq!(Module::from_cubin(&bytes), Err(ModuleError::Truncated));
+    }
+
+    /// A corrupt instruction count — here one that would reserve about
+    /// 91 GB of instructions — is a truncation error, not an allocation.
+    #[test]
+    fn huge_count_is_truncated_not_allocated() {
+        let m = sample();
+        let mut bytes = m.to_cubin();
+        let at = 4 + 2 + 2 + m.info.name.len() + 2 + 4 + 4;
+        let want = 91u64 << 30;
+        let count = (want / std::mem::size_of::<Instruction>() as u64).min(u32::MAX as u64) as u32;
+        bytes[at..at + 4].copy_from_slice(&count.to_le_bytes());
         assert_eq!(Module::from_cubin(&bytes), Err(ModuleError::Truncated));
     }
 

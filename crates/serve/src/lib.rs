@@ -40,6 +40,7 @@
 //! `docs/SERVING.md` for the operational story.
 
 pub mod engine;
+mod hex;
 pub mod network;
 pub mod plan;
 pub mod queue;

@@ -186,11 +186,7 @@ impl Plan {
                 "tuned {} {} {} {} {} {} {}\n",
                 t.n, t.schedule_digest, t.hand_cycles, t.tuned_cycles, t.evals, t.params, t.source
             ));
-            s.push_str("cubin ");
-            for b in &t.cubin {
-                s.push_str(&format!("{b:02x}"));
-            }
-            s.push('\n');
+            s.push_str(&format!("cubin {}\n", crate::hex::encode(&t.cubin)));
         }
         s
     }
@@ -252,13 +248,7 @@ impl Plan {
                     });
                 }
                 "cubin" => {
-                    let t = pending_tuned.as_mut()?;
-                    if rest.len() % 2 != 0 {
-                        return None;
-                    }
-                    t.cubin = (0..rest.len() / 2)
-                        .map(|i| u8::from_str_radix(&rest[2 * i..2 * i + 2], 16).ok())
-                        .collect::<Option<Vec<u8>>>()?;
+                    pending_tuned.as_mut()?.cubin = crate::hex::decode(rest)?;
                 }
                 _ => return None,
             }
@@ -799,6 +789,32 @@ mod tests {
         assert_eq!(cache.stats.misses, 1);
         assert!(mem.load("ee").is_none(), "stale entry removed");
         assert!(cache.keys().is_empty());
+    }
+
+    /// A cubin line holding a multi-byte character is a cache miss, not a
+    /// panic on a split character.
+    #[test]
+    fn multibyte_cubin_line_is_a_miss() {
+        let mut p = plan_fixture();
+        p.tuned = Some(TunedSchedule {
+            n: 32,
+            schedule_digest: format!("{:032x}", 0),
+            cubin: vec![0xab; 8],
+            hand_cycles: 1,
+            tuned_cycles: 1,
+            evals: 1,
+            params: "p".into(),
+            source: "anneal".into(),
+        });
+        let t = p.to_text();
+        assert!(t.contains("cubin abab"));
+        let corrupt = t.replacen("cubin abab", "cubin aéab", 1);
+        assert!(Plan::from_text(&corrupt).is_none());
+        let mem = MemStorage::new();
+        let mut cache = PlanCache::new(&mem, "V100", 0);
+        mem.store("ff", &corrupt);
+        assert!(cache.get("ff").is_none());
+        assert_eq!(cache.stats.misses, 1);
     }
 
     #[test]

@@ -60,11 +60,7 @@ impl StoredSchedule {
         s.push_str(&format!("hand_cycles {}\n", self.hand_cycles));
         s.push_str(&format!("tuned_cycles {}\n", self.tuned_cycles));
         s.push_str(&format!("evals {}\n", self.evals));
-        s.push_str("cubin ");
-        for b in &self.cubin {
-            s.push_str(&format!("{b:02x}"));
-        }
-        s.push('\n');
+        s.push_str(&format!("cubin {}\n", crate::hex::encode(&self.cubin)));
         s
     }
 
@@ -92,14 +88,7 @@ impl StoredSchedule {
                 "hand_cycles" => sched.hand_cycles = rest.parse().ok()?,
                 "tuned_cycles" => sched.tuned_cycles = rest.parse().ok()?,
                 "evals" => sched.evals = rest.parse().ok()?,
-                "cubin" => {
-                    if rest.len() % 2 != 0 {
-                        return None;
-                    }
-                    sched.cubin = (0..rest.len() / 2)
-                        .map(|i| u8::from_str_radix(&rest[2 * i..2 * i + 2], 16).ok())
-                        .collect::<Option<Vec<u8>>>()?;
-                }
+                "cubin" => sched.cubin = crate::hex::decode(rest)?,
                 _ => return None,
             }
         }
@@ -233,6 +222,24 @@ mod tests {
         mem.store(&ScheduleStore::key(&dev, &cfg), &bad.to_text());
         assert!(store.load(&dev, &cfg).is_none());
         assert!(mem.load(&ScheduleStore::key(&dev, &cfg)).is_none());
+    }
+
+    /// A cubin line holding a multi-byte character (or any non-hex text)
+    /// reads as a miss, never a panic on a split character.
+    #[test]
+    fn non_hex_cubin_line_is_a_miss() {
+        let mem = MemStorage::new();
+        let dev = gpusim::DeviceSpec::v100();
+        let (cfg, sched) = entry();
+        let t = sched.to_text();
+        let hex = crate::hex::encode(&sched.cubin);
+        for bad in ["é", "aé", "+f"] {
+            let corrupt = t.replacen(&hex[..bad.len()], bad, 1);
+            assert_ne!(corrupt, t);
+            assert!(StoredSchedule::from_text(&corrupt).is_none(), "{bad:?}");
+            mem.store(&ScheduleStore::key(&dev, &cfg), &corrupt);
+            assert!(ScheduleStore::new(&mem).load(&dev, &cfg).is_none());
+        }
     }
 
     #[test]
